@@ -70,7 +70,7 @@ int main() {
             << result.final_best.to_string() << " (DFO "
             << util::fmt_percent(trace.distance_from_optimum(result.final_best))
             << ") after " << result.explorations() << " explorations\n";
-  std::cout << "(single-core host: the shape of this surface reflects this "
-               "machine, not the paper's 48-core box)\n";
+  std::cout << "(the shape of this surface reflects this machine, not the "
+               "paper's 48-core box)\n";
   return 0;
 }

@@ -26,8 +26,14 @@ echo "== mc-smoke: mc_snapshot_registry =="
 build-mc/tests/mc_snapshot_registry --smoke
 echo "== mc-smoke: mc_request_queue =="
 build-mc/tests/mc_request_queue --smoke
+echo "== mc-smoke: mc_fork_join =="
+build-mc/tests/mc_fork_join --smoke
 echo "== mc-smoke: mc_commit_helping --weaken-publish (expect failure) =="
 build-mc/tests/mc_commit_helping --smoke --weaken-publish --expect-failure
+# The hand-off bug needs two preemptions to show, so this fixture runs at the
+# full bound (a few seconds).
+echo "== mc: mc_fork_join --weaken-handoff (expect failure) =="
+build-mc/tests/mc_fork_join --weaken-handoff --expect-failure
 
 # UBSan sweep: the whole suite, non-recovering (any UB report is fatal).
 cmake --preset ubsan

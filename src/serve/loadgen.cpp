@@ -5,7 +5,7 @@
 #include <chrono>
 #include <thread>
 
-#include "util/thread_pool.hpp"
+#include "util/wait_group.hpp"
 
 namespace autopn::serve {
 

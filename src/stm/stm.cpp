@@ -108,9 +108,8 @@ void Stm::run_top(const std::function<void(Tx&)>& body,
     std::optional<NormalPhaseShare> phase;
     phase.emplace(normal_phase_, escalated_waiting_);
     SnapshotRegistry::Handle snapshot = snapshots_.acquire();
-    Tx root{*this, nullptr, snapshot.snapshot()};
-    root.tree_gate_ = std::make_unique<util::ResizableSemaphore>(
-        child_limit_.load(std::memory_order_relaxed));
+    Tx root{*this, nullptr, snapshot.snapshot(),
+            child_limit_.load(std::memory_order_relaxed)};
     try {
       body(root);
       root.commit_top_level();
@@ -149,10 +148,9 @@ void Stm::run_top_escalated(const std::function<void(Tx&)>& body,
   stats_.bump_top_escalation();
   for (;;) {
     SnapshotRegistry::Handle snapshot = snapshots_.acquire();
-    Tx root{*this, nullptr, snapshot.snapshot()};
+    Tx root{*this, nullptr, snapshot.snapshot(),
+            child_limit_.load(std::memory_order_relaxed)};
     root.escalated_ = true;
-    root.tree_gate_ = std::make_unique<util::ResizableSemaphore>(
-        child_limit_.load(std::memory_order_relaxed));
     try {
       body(root);
       root.commit_top_level();
@@ -174,10 +172,9 @@ void Stm::run_top_escalated(const std::function<void(Tx&)>& body,
 void Stm::run_read_only_impl(const std::function<void(Tx&)>& body) {
   util::SemaphoreGuard top_permit{top_gate_};
   SnapshotRegistry::Handle snapshot = snapshots_.acquire();
-  Tx root{*this, nullptr, snapshot.snapshot()};
+  Tx root{*this, nullptr, snapshot.snapshot(),
+          child_limit_.load(std::memory_order_relaxed)};
   root.read_only_ = true;
-  root.tree_gate_ = std::make_unique<util::ResizableSemaphore>(
-      child_limit_.load(std::memory_order_relaxed));
   body(root);  // snapshot reads cannot conflict: no retry loop, no validation
   stats_.bump_top_commit();
   notify_commit();
@@ -218,13 +215,6 @@ void Stm::set_commit_callback(std::shared_ptr<const std::function<void()>> cb) {
   if (commit_cb_owner_) {
     commit_cb_.store(commit_cb_owner_.get(), std::memory_order_seq_cst);
     has_commit_cb_.store(true, std::memory_order_release);
-  }
-}
-
-void Stm::acquire_child_token(util::ResizableSemaphore& gate) {
-  using namespace std::chrono_literals;
-  while (!gate.try_acquire()) {
-    if (!pool_.try_run_one()) std::this_thread::sleep_for(50us);
   }
 }
 

@@ -8,8 +8,8 @@
 //
 // This is the C++ counterpart of JVSTM extended with the paper's actuator
 // hooks: begin/commit of top-level transactions pass through a resizable
-// semaphore of capacity t; child spawns pass through a per-tree semaphore of
-// capacity c (created per top-level attempt from the current setting, so
+// semaphore of capacity t; children run help-first within a per-tree budget
+// of c threads (sized per top-level attempt from the current setting, so
 // reconfigurations drain naturally and never interrupt running transactions).
 //
 // Stm itself owns no serialization state: commit ordering lives in the
@@ -210,10 +210,6 @@ class Stm {
 
  private:
   friend class Tx;
-
-  /// Acquires a child-gate token, helping to drain the nested pool while
-  /// waiting so fork/join never deadlocks on a small pool.
-  void acquire_child_token(util::ResizableSemaphore& gate);
 
   /// Exponential backoff with jitter between transaction retries
   /// (backoff_delay applied to a per-thread Rng).

@@ -1,15 +1,12 @@
 #include "stm/tx.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
 #include "stm/commit_manager.hpp"
 #include "stm/stm.hpp"
 #include "util/failpoint.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autopn::stm {
 
@@ -24,12 +21,13 @@ auto find_owner(Owners& owners, const void* owner) {
 
 }  // namespace
 
-Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot)
+Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot, std::size_t child_limit)
     : stm_(&stm),
       parent_(parent),
       root_(parent != nullptr ? parent->root_ : this),
       snapshot_(snapshot),
-      depth_(parent != nullptr ? parent->depth_ + 1 : 0) {}
+      depth_(parent != nullptr ? parent->depth_ + 1 : 0),
+      budget_(child_limit) {}
 
 Tx::ReadEntry Tx::resolve_above(VBoxBase* box) {
   ReadEntry entry;
@@ -338,68 +336,35 @@ void Tx::commit_into_parent() {
 }
 
 void Tx::run_children(std::vector<std::function<void(Tx&)>> bodies) {
-  if (bodies.empty()) return;
-  using namespace std::chrono_literals;
+  // Help-first: this thread runs the children itself, in order, on the
+  // tree's unit it already holds, while idle pool workers steal the rest
+  // only as far as the tree's budget c leaves room (util/thread_pool.hpp).
+  stm_->pool().fork_join(root_->budget_, bodies.size(),
+                         [&](std::size_t i) { run_child(bodies[i]); });
+}
 
-  util::WaitGroup wait_group;
-  wait_group.add(bodies.size());
-
-  // A nested caller holds a tree-gate token itself; release it while blocked
-  // waiting for children so the configured limit c counts *running* nested
-  // transactions (and so c == 1 cannot self-deadlock on deeper nests).
-  const bool released_own_token = !is_top_level();
-  if (released_own_token) root_->tree_gate_->release();
-
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  for (auto& body : bodies) {
-    stm_->acquire_child_token(*root_->tree_gate_);
-    stm_->pool().submit([this, task = std::move(body), &wait_group, &error_mutex,
-                         &first_error] {
-      unsigned attempt = 0;
-      const unsigned budget = stm_->config().retry_budget;
-      for (;;) {
-        Tx child{*stm_, this, snapshot_};
-        try {
-          task(child);
-          child.commit_into_parent();
-          stm_->counters().bump_child_commit();
-          break;
-        } catch (const ConflictError& conflict) {
-          stm_->counters().bump_child_abort(conflict.kind());
-          ++attempt;
-          if (budget != 0 && attempt >= budget) {
-            // The child is starving among its siblings: give up on the
-            // partial-abort retry and surface the conflict to the top level,
-            // whose own budget guarantees completion (escalated, if need
-            // be). Without this bound a pathologically conflicting child
-            // pins its whole tree in run_children forever.
-            std::scoped_lock lock{error_mutex};
-            if (!first_error) first_error = std::current_exception();
-            break;
-          }
-          stm_->backoff(attempt);
-        } catch (...) {
-          std::scoped_lock lock{error_mutex};
-          if (!first_error) first_error = std::current_exception();
-          break;
-        }
-      }
-      root_->tree_gate_->release();
-      wait_group.done();
-    });
-  }
-
-  // Help drain the nested pool while waiting; required for progress when the
-  // pool is smaller than the fan-out (e.g. single-core machines).
-  while (!wait_group.wait_for(200us)) {
-    while (stm_->pool().try_run_one()) {
+void Tx::run_child(const std::function<void(Tx&)>& body) {
+  unsigned attempt = 0;
+  const unsigned budget = stm_->config().retry_budget;
+  for (;;) {
+    Tx child{*stm_, this, snapshot_};
+    try {
+      body(child);
+      child.commit_into_parent();
+      stm_->counters().bump_child_commit();
+      return;
+    } catch (const ConflictError& conflict) {
+      stm_->counters().bump_child_abort(conflict.kind());
+      ++attempt;
+      // The child is starving among its siblings: give up on the
+      // partial-abort retry and surface the conflict to the top level,
+      // whose own budget guarantees completion (escalated, if need be).
+      // Without this bound a pathologically conflicting child pins its
+      // whole tree in run_children forever.
+      if (budget != 0 && attempt >= budget) throw;
+      stm_->backoff(attempt);
     }
   }
-
-  if (released_own_token) stm_->acquire_child_token(*root_->tree_gate_);
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 void Tx::commit_top_level() {

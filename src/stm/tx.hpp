@@ -6,9 +6,10 @@
 // version clock; all reads in its tree resolve against that snapshot plus the
 // tree's tentative writes, so snapshots are always consistent and no
 // read-time validation is needed. A transaction may spawn children that run
-// in parallel with one another (never with their parent — the parent blocks
-// in run_children, matching the nested transaction model where only
-// childless transactions access data).
+// in parallel with one another (never with their parent — the parent's own
+// body is suspended in run_children, where its thread runs children itself,
+// matching the nested transaction model where only childless transactions
+// access data).
 //
 // Read resolution order for a transaction X reading box B:
 //   1. X's own write set (deltas materialized over the levels below);
@@ -53,7 +54,7 @@
 #include "stm/exceptions.hpp"
 #include "stm/predicate.hpp"
 #include "stm/vbox.hpp"
-#include "util/semaphore.hpp"
+#include "util/thread_pool.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace autopn::stm {
@@ -68,11 +69,12 @@ class Tx {
   Tx(const Tx&) = delete;
   Tx& operator=(const Tx&) = delete;
 
-  /// Runs each body as a child transaction of this transaction. Children of
-  /// one batch execute in parallel with each other on the Stm's nested-
-  /// transaction pool, subject to the actuator's per-tree concurrency limit
-  /// `c`; the caller blocks (helping to drain the pool) until all children
-  /// have committed. A child that hits a sibling conflict is retried alone.
+  /// Runs each body as a child transaction of this transaction and returns
+  /// once all have committed. The calling thread runs the children itself,
+  /// in order; idle workers of the Stm's nested-transaction pool steal the
+  /// rest in parallel, as far as the actuator's per-tree limit `c` (threads
+  /// running inside this tree at once, the caller's included) allows. A
+  /// child that hits a sibling conflict is retried alone.
   void run_children(std::vector<std::function<void(Tx&)>> bodies);
 
   /// Requests an abort-and-retry of this transaction attempt.
@@ -178,7 +180,12 @@ class Tx {
     bool global_base = false;
   };
 
-  Tx(Stm& stm, Tx* parent, std::uint64_t snapshot);
+  /// `child_limit` sizes the tree's budget; only a root's is used.
+  Tx(Stm& stm, Tx* parent, std::uint64_t snapshot, std::size_t child_limit = 1);
+
+  /// One child of run_children: runs `body` in a fresh child transaction
+  /// and merges it, retrying on sibling conflicts up to the retry budget.
+  void run_child(const std::function<void(Tx&)>& body);
 
   /// Resolves the value visible to this transaction ABOVE its own write set:
   /// nearest-ancestor entries (materializing pending deltas) down to the
@@ -221,8 +228,8 @@ class Tx {
   std::vector<PredEntry> preds_ AUTOPN_GUARDED_BY(merge_mutex_);
   std::uint64_t next_stamp_ AUTOPN_GUARDED_BY(merge_mutex_) = 1;
 
-  /// Per-tree child-concurrency gate (capacity c); owned by the root.
-  std::unique_ptr<util::ResizableSemaphore> tree_gate_;
+  /// Per-tree child-concurrency budget (limit c); only the root's is used.
+  util::ForkBudget budget_;
 
   /// Set on roots created by Stm::read_only(); writes anywhere in the tree
   /// then throw std::logic_error (checked in write_raw via the root).

@@ -1,11 +1,12 @@
 #pragma once
 // Resizable counting semaphore — the actuator's primitive (paper §VI).
 //
-// The actuator bounds the number of concurrent top-level transactions (t) and
-// concurrent nested transactions per tree (c) by intercepting begin/commit.
-// Unlike std::counting_semaphore, the capacity here can be changed at
-// run-time: growing releases waiters immediately, shrinking lets in-flight
-// holders drain naturally (no transaction is ever interrupted).
+// The actuator bounds the number of concurrent top-level transactions (t) by
+// intercepting begin/commit (the per-tree nested limit c is a ForkBudget of
+// the nested pool, util/thread_pool.hpp). Unlike std::counting_semaphore,
+// the capacity here can be changed at run-time: growing releases waiters
+// immediately, shrinking lets in-flight holders drain naturally (no
+// transaction is ever interrupted).
 
 #include <condition_variable>
 #include <cstddef>

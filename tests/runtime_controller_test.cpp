@@ -349,13 +349,15 @@ TEST(Controller, ModelVetoBlocksPredictedRegressions) {
   WorkloadDriver driver{bench, 2};
 
   util::WallClock clock;
+  // The grid runs to its end (no early stop), so the proposals always reach
+  // the t > 2 configurations, however flat the measured surface is.
   opt::ConfigSpace space{4};
   ControllerParams params;
   params.max_window_seconds = 1.0;
   params.model_veto_band = 0.5;
   params.model_veto_blocks = true;
   TuningController controller{
-      stm, std::make_unique<opt::GridSearch>(space),
+      stm, std::make_unique<opt::GridSearch>(space, space.size()),
       std::make_unique<FixedTimePolicy>(0.02), clock, params};
   LowTAdvisor advisor;
   controller.set_config_advisor(&advisor);
@@ -383,12 +385,12 @@ TEST(Controller, ModelVetoLogsWithoutBlockingByDefault) {
   WorkloadDriver driver{bench, 2};
 
   util::WallClock clock;
-  opt::ConfigSpace space{4};
+  opt::ConfigSpace space{4};  // the whole grid, as above
   ControllerParams params;
   params.max_window_seconds = 1.0;
   params.model_veto_band = 0.5;  // model_veto_blocks stays false
   TuningController controller{
-      stm, std::make_unique<opt::GridSearch>(space),
+      stm, std::make_unique<opt::GridSearch>(space, space.size()),
       std::make_unique<FixedTimePolicy>(0.02), clock, params};
   LowTAdvisor advisor;
   controller.set_config_advisor(&advisor);

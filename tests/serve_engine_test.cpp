@@ -11,7 +11,7 @@
 #include "serve/engine.hpp"
 #include "serve/handlers.hpp"
 #include "serve/loadgen.hpp"
-#include "util/thread_pool.hpp"
+#include "util/wait_group.hpp"
 
 namespace autopn::serve {
 namespace {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "stm/containers.hpp"
@@ -153,6 +155,50 @@ TEST(Nesting, DeepNestingWithChildLimitOne) {
     }});
   });
   EXPECT_EQ(box.peek(), 3);
+}
+
+TEST(Nesting, ChildLimitBoundsRunningChildren) {
+  // c counts threads running inside the tree, the parent's included.
+  Stm stm{nest_config(/*pool=*/4, /*c=*/2)};
+  TArray<int> arr{12, 0};
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  stm.run_top([&](Tx& tx) {
+    std::vector<std::function<void(Tx&)>> kids;
+    for (std::size_t i = 0; i < 12; ++i) {
+      kids.emplace_back([&, i](Tx& child) {
+        const int now = running.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds{1});
+        arr.write(child, i, 1);
+        running.fetch_sub(1);
+      });
+    }
+    tx.run_children(std::move(kids));
+  });
+  EXPECT_LE(peak.load(), 2);
+  for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(arr.peek(i), 1);
+}
+
+TEST(Nesting, ChildLimitOneRunsChildrenOnTheCallingThread) {
+  Stm stm{nest_config(/*pool=*/4, /*c=*/1)};
+  VBox<int> box{0};
+  std::vector<std::thread::id> ran_on;
+  stm.run_top([&](Tx& tx) {
+    ran_on.assign(6, std::thread::id{});
+    std::vector<std::function<void(Tx&)>> kids;
+    for (std::size_t i = 0; i < 6; ++i) {
+      kids.emplace_back([&, i](Tx& child) {
+        ran_on[i] = std::this_thread::get_id();
+        box.write(child, box.read(child) + 1);
+      });
+    }
+    tx.run_children(std::move(kids));
+  });
+  EXPECT_EQ(box.peek(), 6);
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(Nesting, ChildReadValidatedAgainstSiblingWrite) {

@@ -1,15 +1,18 @@
-// Tests for the concurrency primitives: resizable semaphore, thread pool,
-// wait group, and clocks.
+// Tests for the concurrency primitives: resizable semaphore, help-first
+// fork/join pool and its budgets, wait group, and clocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "util/clock.hpp"
 #include "util/semaphore.hpp"
 #include "util/thread_pool.hpp"
+#include "util/wait_group.hpp"
 
 namespace autopn::util {
 namespace {
@@ -136,66 +139,157 @@ TEST(ResizableSemaphore, ShrinkBelowInFlightNeverDeadlocksNorOverAdmits) {
   sem.release();
 }
 
+/// An unstaffed pool run by `workers` test threads: every batch is offered
+/// to them, so stealing happens whenever a worker is free to steal.
+struct EagerPool {
+  explicit EagerPool(std::size_t workers) {
+    for (std::size_t i = 0; i < workers; ++i) {
+      threads.emplace_back([this] { pool.serve(); });
+    }
+  }
+  ~EagerPool() { pool.shutdown(); }  // the threads join right after
+
+  ThreadPool pool{ThreadPool::Unstaffed{}};
+  std::vector<std::jthread> threads;
+};
+
 TEST(ThreadPool, ExecutesSubmittedTasks) {
   ThreadPool pool{2};
-  std::atomic<int> counter{0};
-  WaitGroup wg;
-  wg.add(100);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] {
-      counter.fetch_add(1);
-      wg.done();
-    });
-  }
-  wg.wait();
-  EXPECT_EQ(counter.load(), 100);
+  ForkBudget budget{3};
+  std::vector<std::atomic<int>> runs(100);
+  pool.fork_join(budget, runs.size(), [&](std::size_t i) { runs[i].fetch_add(1); });
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);  // each index exactly once
+  EXPECT_EQ(pool.in_use(budget), 1u);  // every stolen unit came back
 }
 
 TEST(ThreadPool, RunAndWaitCompletesAll) {
   ThreadPool pool{3};
+  ForkBudget budget{64};
   std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 64; ++i) tasks.emplace_back([&] { counter.fetch_add(1); });
-  pool.run_and_wait(std::move(tasks));
+  pool.fork_join(budget, 64, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 64);
+  pool.fork_join(budget, 0, [&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 64);  // an empty batch is a no-op
 }
 
 TEST(ThreadPool, NestedForkJoinOnSingleWorker) {
-  // A task that itself forks and joins must not deadlock a 1-worker pool
-  // thanks to help-draining.
+  // Tasks that themselves fork and join must not deadlock a 1-worker pool:
+  // every caller runs its own tasks.
   ThreadPool pool{1};
+  ForkBudget budget{4};
   std::atomic<int> leaves{0};
-  std::vector<std::function<void()>> outer;
-  for (int i = 0; i < 4; ++i) {
-    outer.emplace_back([&] {
-      std::vector<std::function<void()>> inner;
-      for (int j = 0; j < 4; ++j) inner.emplace_back([&] { leaves.fetch_add(1); });
-      pool.run_and_wait(std::move(inner));
-    });
-  }
-  pool.run_and_wait(std::move(outer));
+  pool.fork_join(budget, 4, [&](std::size_t) {
+    pool.fork_join(budget, 4, [&](std::size_t) { leaves.fetch_add(1); });
+  });
   EXPECT_EQ(leaves.load(), 16);
+  EXPECT_EQ(pool.in_use(budget), 1u);
 }
 
-TEST(ThreadPool, TryRunOneDrainsQueue) {
-  ThreadPool pool{1};
-  // Stall the single worker so tasks stay queued.
+TEST(ThreadPool, CallerRunsItsOwnTasksWhileWorkersAreBusy) {
+  // Stall the only worker inside a stolen task of another batch; a second
+  // caller must still finish its batch alone, on its own thread.
+  EagerPool eager{1};
+  ThreadPool& pool = eager.pool;
+  std::atomic<bool> stolen{false};
   std::atomic<bool> release{false};
-  WaitGroup stall;
-  stall.add(1);
-  pool.submit([&] {
-    while (!release.load()) std::this_thread::sleep_for(1ms);
-    stall.done();
-  });
-  std::this_thread::sleep_for(10ms);
-  std::atomic<int> ran{0};
-  pool.submit([&] { ran.fetch_add(1); });
-  pool.submit([&] { ran.fetch_add(1); });
-  while (pool.try_run_one()) {
-  }
-  EXPECT_EQ(ran.load(), 2);
+  std::jthread stall{[&] {
+    ForkBudget budget{2};
+    pool.fork_join(budget, 2, [&](std::size_t i) {
+      if (i == 0) {  // the caller's own task: wait until the worker took #1
+        while (!stolen.load()) std::this_thread::yield();
+        return;
+      }
+      stolen.store(true);
+      while (!release.load()) std::this_thread::sleep_for(1ms);
+    });
+  }};
+  while (!stolen.load()) std::this_thread::yield();
+
+  ForkBudget budget{4};
+  std::vector<std::thread::id> ran_on(3);
+  pool.fork_join(budget, ran_on.size(),
+                 [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
   release.store(true);
-  stall.wait();
+}
+
+TEST(ThreadPool, FirstExceptionIsRethrownAfterEveryTaskRan) {
+  ThreadPool pool{2};
+  ForkBudget budget{3};
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.fork_join(budget, 8,
+                              [&](std::size_t i) {
+                                ran.fetch_add(1);
+                                if (i == 2 || i == 5) throw std::runtime_error{"task"};
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(pool.in_use(budget), 1u);
+}
+
+TEST(ThreadPool, WaitingCallerLendsItsUnit) {
+  // Budget 2. The root keeps one unit, a worker steals task #1 on the
+  // other. Task #1's two children can only overlap once the root, done with
+  // its own task and waiting, lends its unit to the tree.
+  EagerPool eager{2};
+  ThreadPool& pool = eager.pool;
+  ForkBudget budget{2};
+  std::atomic<bool> stolen{false};
+  std::atomic<int> started{0};
+  std::atomic<bool> overlapped{false};
+  pool.fork_join(budget, 2, [&](std::size_t i) {
+    if (i == 0) {
+      while (!stolen.load()) std::this_thread::yield();
+      return;
+    }
+    stolen.store(true);
+    pool.fork_join(budget, 2, [&](std::size_t) {
+      started.fetch_add(1);
+      const auto deadline = std::chrono::steady_clock::now() + 2s;
+      while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (started.load() == 2) overlapped.store(true);
+    });
+  });
+  EXPECT_TRUE(overlapped.load());
+  EXPECT_EQ(pool.in_use(budget), 1u);
+}
+
+TEST(ThreadPool, ShortTasksStayOnTheCaller) {
+  // Once the pool has seen how short the tasks are, waking a worker for
+  // them is not worth it: whole batches run on the caller.
+  ThreadPool pool{3};
+  ForkBudget budget{4};
+  int caller_only = 0;
+  for (int batch = 0; batch < 20; ++batch) {
+    std::vector<std::thread::id> ran_on(8);
+    pool.fork_join(budget, ran_on.size(),
+                   [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    if (std::all_of(ran_on.begin(), ran_on.end(), [](const auto& id) {
+          return id == std::this_thread::get_id();
+        })) {
+      ++caller_only;
+    }
+  }
+  EXPECT_GE(caller_only, 10);
+}
+
+TEST(ThreadPool, LongTasksAreOfferedToWorkers) {
+  ThreadPool pool{3};
+  ForkBudget budget{4};
+  bool stolen = false;
+  for (int batch = 0; batch < 10 && !stolen; ++batch) {
+    std::vector<std::thread::id> ran_on(4);
+    pool.fork_join(budget, ran_on.size(), [&](std::size_t i) {
+      std::this_thread::sleep_for(1ms);
+      ran_on[i] = std::this_thread::get_id();
+    });
+    stolen = std::any_of(ran_on.begin(), ran_on.end(), [](const auto& id) {
+      return id != std::this_thread::get_id();
+    });
+  }
+  EXPECT_TRUE(stolen);
 }
 
 TEST(ThreadPool, WorkerCountClamped) {

@@ -2,6 +2,8 @@
 // under concurrent execution at various (t, c) settings.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -56,20 +58,39 @@ TEST(ArrayWorkload, ChecksumMatchesUpdateCounter) {
   EXPECT_EQ(stm.stats().top_commits, 45u);
 }
 
+/// Runs `per_thread(round, thread)` on 4 threads released together, round
+/// after round, until the STM has counted a top-level abort or `max_rounds`
+/// ran; returns the number of rounds. A transaction takes microseconds, less
+/// than starting a thread, and on a loaded machine one round's threads may
+/// still run one after another, so overlap is retried rather than assumed.
+int run_until_abort(stm::Stm& stm, int max_rounds,
+                    const std::function<void(int, int)>& per_thread) {
+  int rounds = 0;
+  while (rounds < max_rounds && stm.stats().top_aborts == 0) {
+    std::latch start{4};
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        per_thread(rounds, t);
+      });
+    }
+    threads.clear();
+    ++rounds;
+  }
+  return rounds;
+}
+
 TEST(ArrayWorkload, HighUpdateFractionCausesTopLevelConflicts) {
   stm::Stm stm{cfg(4, 1)};
   ArrayConfig acfg;
   acfg.array_size = 32;
   acfg.update_fraction = 0.9;
   ArrayBenchmark bench{stm, acfg};
-  std::vector<std::jthread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&bench, t] {
-      util::Rng rng{static_cast<std::uint64_t>(20 + t)};
-      bench.run_many(10, rng);
-    });
-  }
-  threads.clear();
+  run_until_abort(stm, 20, [&](int round, int t) {
+    util::Rng rng{static_cast<std::uint64_t>(20 + 4 * round + t)};
+    bench.run_many(50, rng);
+  });
   EXPECT_EQ(bench.checksum(), bench.committed_updates());
   EXPECT_GT(stm.stats().top_aborts, 0u);  // full-array scans must collide
 }
@@ -310,15 +331,11 @@ TEST(TpccWorkload, SingleWarehouseIsHighContention) {
   tcfg.new_order_fraction = 1.0;
   tcfg.payment_fraction = 0.0;
   TpccBenchmark bench{stm, tcfg};
-  std::vector<std::jthread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&bench, t] {
-      util::Rng rng{static_cast<std::uint64_t>(70 + t)};
-      for (int i = 0; i < 10; ++i) (void)bench.new_order(0, 0, 0, rng);
-    });
-  }
-  threads.clear();
-  EXPECT_EQ(bench.new_orders_committed(), 40);
+  const int rounds = run_until_abort(stm, 20, [&](int round, int t) {
+    util::Rng rng{static_cast<std::uint64_t>(70 + 4 * round + t)};
+    for (int i = 0; i < 25; ++i) (void)bench.new_order(0, 0, 0, rng);
+  });
+  EXPECT_EQ(bench.new_orders_committed(), 100 * rounds);
   EXPECT_TRUE(bench.verify_consistency());
   EXPECT_GT(stm.stats().top_aborts, 0u);
 }
