@@ -133,12 +133,6 @@ std::string random_schedule(util::Rng& rng, bool net, bool router = false) {
   }
   if (coin()) {
     std::ostringstream s;
-    s << "stm.commit.helping=delay(d=" << rng.uniform_int(20, 200)
-      << "us,p=0.3)";
-    add(s.str());
-  }
-  if (coin()) {
-    std::ostringstream s;
     s << "stm.vbox.prune=delay(d=" << rng.uniform_int(20, 100) << "us,p=0.5)";
     add(s.str());
   }
@@ -149,7 +143,7 @@ std::string random_schedule(util::Rng& rng, bool net, bool router = false) {
   }
   if (coin()) {
     // Stall between reading the install base and applying a datatype delta:
-    // widens the helper race in the lock-free commit writeback.
+    // stretches the commit mutex's hold time.
     std::ostringstream s;
     s << "stm.map.install=delay(d=" << rng.uniform_int(20, 200) << "us,p=0.3)";
     add(s.str());

@@ -43,28 +43,21 @@ void BM_StmReadOnlyTx(benchmark::State& state) {
 BENCHMARK(BM_StmReadOnlyTx);
 
 void BM_StmWriteCommit(benchmark::State& state) {
-  // Arg selects the commit strategy: 0 = global lock, 1 = lock-free helping.
-  stm::StmConfig cfg = bench_config();
-  cfg.commit_strategy = state.range(0) == 0 ? stm::CommitStrategy::kGlobalLock
-                                            : stm::CommitStrategy::kLockFree;
-  stm::Stm stm{cfg};
+  stm::Stm stm{bench_config()};
   stm::VBox<int> box{0};
   int i = 0;
   for (auto _ : state) {
     stm.run_top([&](stm::Tx& tx) { box.write(tx, ++i); });
   }
 }
-BENCHMARK(BM_StmWriteCommit)->Arg(0)->Arg(1);
+BENCHMARK(BM_StmWriteCommit);
 
 void BM_StmContendedCommit(benchmark::State& state) {
-  // Two application threads hammering one box, per strategy.
-  stm::StmConfig cfg = bench_config();
-  cfg.commit_strategy = state.range(0) == 0 ? stm::CommitStrategy::kGlobalLock
-                                            : stm::CommitStrategy::kLockFree;
+  // Two application threads hammering one box.
   static stm::Stm* shared_stm = nullptr;
   static stm::VBox<long>* shared_box = nullptr;
   if (state.thread_index() == 0) {
-    shared_stm = new stm::Stm{cfg};
+    shared_stm = new stm::Stm{bench_config()};
     shared_box = new stm::VBox<long>{0L};
   }
   for (auto _ : state) {
@@ -78,7 +71,7 @@ void BM_StmContendedCommit(benchmark::State& state) {
     shared_stm = nullptr;
   }
 }
-BENCHMARK(BM_StmContendedCommit)->Arg(0)->Arg(1)->Threads(2)->UseRealTime();
+BENCHMARK(BM_StmContendedCommit)->Threads(2)->UseRealTime();
 
 void BM_StmReadsPerTx(benchmark::State& state) {
   const auto reads = static_cast<std::size_t>(state.range(0));

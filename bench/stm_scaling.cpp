@@ -1,9 +1,9 @@
-// STM core scaling bench: begin/commit throughput vs thread count for both
-// commit managers, demonstrating that the runtime's coordination structures
-// (snapshot registry, commit serialization, sharded stats) do not serialize
-// top-level transactions that touch disjoint data.
+// STM core scaling bench: begin/commit throughput vs thread count,
+// demonstrating that the runtime's coordination structures (snapshot
+// registry, commit serialization, sharded stats) do not serialize top-level
+// transactions that touch disjoint data beyond the commit mutex itself.
 //
-// Three workloads per (strategy, threads) cell:
+// Three workloads per thread count:
 //  * disjoint — each thread read-modify-writes its own private box: zero
 //    logical conflicts, so any slowdown vs 1 thread is pure runtime
 //    coordination overhead (the quantity the paper's actuator sits on top of);
@@ -11,10 +11,7 @@
 //  * shared — all threads increment one box: the worst-case serialization
 //    anchor, dominated by aborts/retries by design.
 //
-// Also reports which runtime atomics are actually lock-free on this build
-// (std::atomic<std::shared_ptr> is lock-BASED on libstdc++ — the lock-free
-// commit manager's chain head degrades to a tiny critical section there; see
-// DESIGN.md §6).
+// Usage: stm_scaling [--quick]   (--quick: fewer transactions per cell)
 
 #include <atomic>
 #include <chrono>
@@ -41,10 +38,10 @@ struct CellResult {
 
 /// Runs `threads` workers, each executing `txns_per_thread` transactions via
 /// `run_one(stm, thread_index)`, and returns aggregate throughput.
-CellResult run_cell(stm::StmConfig cfg, std::size_t threads,
-                    std::size_t txns_per_thread,
+CellResult run_cell(std::size_t threads, std::size_t txns_per_thread,
                     const std::function<void(stm::Stm&, std::size_t)>& setup,
                     const std::function<void(stm::Stm&, std::size_t)>& run_one) {
+  stm::StmConfig cfg;
   cfg.initial_top = threads;
   cfg.initial_children = 1;
   cfg.pool_threads = 1;
@@ -75,105 +72,62 @@ CellResult run_cell(stm::StmConfig cfg, std::size_t threads,
   return result;
 }
 
-void report_lock_freedom() {
-  stm::StmConfig cfg;
-  cfg.commit_strategy = stm::CommitStrategy::kLockFree;
-  stm::Stm lockfree{cfg};
-  cfg.commit_strategy = stm::CommitStrategy::kGlobalLock;
-  stm::Stm locked{cfg};
-
-  std::atomic<std::uint64_t> u64{};
-  std::atomic<std::shared_ptr<int>> sptr{};
-
-  util::TextTable table{{"atomic", "is_lock_free"}};
-  table.add_row({"atomic<uint64_t> (clock, registry slots)",
-                 u64.is_lock_free() ? "yes" : "NO"});
-  table.add_row({"atomic<shared_ptr> (commit chain, callback)",
-                 sptr.is_lock_free() ? "yes" : "NO"});
-  table.add_row(
-      {"commit serialization (lock-free manager)",
-       lockfree.commit_manager().serialization_lock_free() ? "yes" : "NO"});
-  table.add_row(
-      {"commit serialization (global-lock manager)",
-       locked.commit_manager().serialization_lock_free() ? "yes" : "NO"});
-  table.print(std::cout);
-  if (!sptr.is_lock_free()) {
-    std::cout << "note: atomic<shared_ptr> is lock-based on this standard "
-                 "library; the\n'lock-free' commit manager's chain head is a "
-                 "short critical section here\n(documented in DESIGN.md §6). "
-                 "The no-callback commit fast path avoids the\natomic<shared_"
-                 "ptr> load entirely (Stm::notify_commit).\n";
-  }
-  std::cout << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Quick mode for CI/run_all: fewer transactions per cell.
-  const bool quick = argc > 1 && std::string_view{argv[1]} == "--quick";
+  const bool quick = argc == 2 && std::string_view{argv[1]} == "--quick";
+  if (argc > 2 || (argc == 2 && !quick)) {
+    std::cerr << "usage: stm_scaling [--quick]\n";
+    return 2;
+  }
   const std::size_t txns = quick ? 2000 : 20000;
 
   std::cout << "== stm_scaling: begin/commit throughput vs thread count ==\n\n";
-  report_lock_freedom();
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<std::size_t> thread_counts{1, 2, 4};
   if (hw >= 4) thread_counts.push_back(8);
 
-  struct Strategy {
-    stm::CommitStrategy strategy;
-    const char* name;
-  };
-  const Strategy strategies[] = {
-      {stm::CommitStrategy::kGlobalLock, "global-lock"},
-      {stm::CommitStrategy::kLockFree, "lock-free"},
-  };
-
-  util::TextTable table{{"workload", "strategy", "threads", "txn/s", "aborts",
+  util::TextTable table{{"workload", "threads", "txn/s", "aborts",
                          "vs 1-thread"}};
 
   for (const char* workload : {"disjoint", "read-only", "shared"}) {
-    for (const auto& [strategy, name] : strategies) {
-      stm::StmConfig cfg;
-      cfg.commit_strategy = strategy;
-      double base = 0.0;
-      for (std::size_t threads : thread_counts) {
-        // One private box per worker; the shared workload uses box 0 only.
-        auto boxes = std::make_shared<std::deque<stm::VBox<std::uint64_t>>>();
-        auto setup = [boxes](stm::Stm&, std::size_t n) {
-          boxes->resize(n);
-          for (auto& box : *boxes) box.put_initial(0);
+    double base = 0.0;
+    for (std::size_t threads : thread_counts) {
+      // One private box per worker; the shared workload uses box 0 only.
+      auto boxes = std::make_shared<std::deque<stm::VBox<std::uint64_t>>>();
+      auto setup = [boxes](stm::Stm&, std::size_t n) {
+        boxes->resize(n);
+        for (auto& box : *boxes) box.put_initial(0);
+      };
+      std::function<void(stm::Stm&, std::size_t)> run_one;
+      if (std::string_view{workload} == "disjoint") {
+        run_one = [boxes](stm::Stm& s, std::size_t t) {
+          s.run_top([&](stm::Tx& tx) {
+            auto& box = (*boxes)[t];
+            box.write(tx, box.read(tx) + 1);
+          });
         };
-        std::function<void(stm::Stm&, std::size_t)> run_one;
-        if (std::string_view{workload} == "disjoint") {
-          run_one = [boxes](stm::Stm& s, std::size_t t) {
-            s.run_top([&](stm::Tx& tx) {
-              auto& box = (*boxes)[t];
-              box.write(tx, box.read(tx) + 1);
-            });
-          };
-        } else if (std::string_view{workload} == "read-only") {
-          run_one = [boxes](stm::Stm& s, std::size_t t) {
-            (void)s.read_only<std::uint64_t>(
-                [&](stm::Tx& tx) { return (*boxes)[t].read(tx); });
-          };
-        } else {
-          run_one = [boxes](stm::Stm& s, std::size_t) {
-            s.run_top([&](stm::Tx& tx) {
-              auto& box = (*boxes)[0];
-              box.write(tx, box.read(tx) + 1);
-            });
-          };
-        }
-        const CellResult cell = run_cell(cfg, threads, txns, setup, run_one);
-        if (threads == 1) base = cell.txn_per_sec;
-        table.add_row({workload, name, std::to_string(threads),
-                       util::fmt_double(cell.txn_per_sec, 0),
-                       std::to_string(cell.aborts),
-                       base > 0 ? util::fmt_double(cell.txn_per_sec / base, 2)
-                                : "-"});
+      } else if (std::string_view{workload} == "read-only") {
+        run_one = [boxes](stm::Stm& s, std::size_t t) {
+          (void)s.read_only<std::uint64_t>(
+              [&](stm::Tx& tx) { return (*boxes)[t].read(tx); });
+        };
+      } else {
+        run_one = [boxes](stm::Stm& s, std::size_t) {
+          s.run_top([&](stm::Tx& tx) {
+            auto& box = (*boxes)[0];
+            box.write(tx, box.read(tx) + 1);
+          });
+        };
       }
+      const CellResult cell = run_cell(threads, txns, setup, run_one);
+      if (threads == 1) base = cell.txn_per_sec;
+      table.add_row({workload, std::to_string(threads),
+                     util::fmt_double(cell.txn_per_sec, 0),
+                     std::to_string(cell.aborts),
+                     base > 0 ? util::fmt_double(cell.txn_per_sec / base, 2)
+                              : "-"});
     }
   }
 

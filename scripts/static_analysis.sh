@@ -6,8 +6,6 @@
 #      prints a visible SKIPPED line otherwise (gcc-only containers).
 #   4. gcc -fanalyzer over the concurrency core (src/{stm,serve,util,mc}),
 #      gated by the checked-in baseline tools/lint/fanalyzer_baseline.txt.
-#   5. tsan.supp coverage — every suppression must still match a symbol in
-#      the tsan build (scripts/check_tsan_supp.sh; skipped if no tsan tree).
 #
 # Exits nonzero on the first failing stage. Run from anywhere.
 set -uo pipefail
@@ -106,9 +104,6 @@ if [ "$fanalyzer_compile_ok" -eq 1 ]; then
 else
   fail=1
 fi
-
-echo "== static-analysis: tsan.supp coverage =="
-scripts/check_tsan_supp.sh || fail=1
 
 if [ "$fail" -ne 0 ]; then
   echo "static-analysis: FAILED"

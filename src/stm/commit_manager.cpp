@@ -30,15 +30,14 @@ std::shared_ptr<const void> CommitManager::materialize(const CommitWrite& write,
                                                        std::uint64_t version) {
   if (write.delta == nullptr) return write.value;
   // Chaos hook (delay-only): stall between reading the install base and
-  // producing the new value, widening the helper-race window in the
-  // lock-free protocol and the hold time of the global commit lock.
+  // producing the new value, stretching the hold time of the commit mutex.
   AUTOPN_FAILPOINT("stm.map.install");
   const Body* newest = write.box->newest();
   return write.delta->apply(
       newest != nullptr ? newest->value.read().get() : nullptr, version);
 }
 
-void GlobalLockCommitManager::commit(CommitRequest& req) {
+void CommitManager::commit(CommitRequest& req) {
   sync::ScopedLock lock{mutex_};
   validate_or_throw(req);
   const std::uint64_t version = clock_->load(std::memory_order_relaxed) + 1;
@@ -49,90 +48,6 @@ void GlobalLockCommitManager::commit(CommitRequest& req) {
   // seq_cst publish so the snapshot registry's publish-and-validate handshake
   // (snapshot_registry.hpp) totally orders this against registrations.
   clock_->store(version, std::memory_order_seq_cst);
-}
-
-LockFreeCommitManager::LockFreeCommitManager(sync::Atomic<std::uint64_t>& clock,
-                                             SnapshotRegistry& snapshots,
-                                             ContentionProfiler& profiler)
-    : CommitManager(clock, snapshots, profiler) {
-  // Sentinel record: version 0, already written back. release: publishes the
-  // record's fields to the first helper that acquires `latest_`.
-  latest_.store(std::make_shared<CommitRecord>(), std::memory_order_release);
-}
-
-void LockFreeCommitManager::help_commit(CommitRecord& record) {
-  const std::uint64_t version = record.version.read();
-  if (!record.done.load(std::memory_order_acquire)) {
-    const std::uint64_t min_active = snapshots_->min_active();
-    for (const auto& write : record.writes.read()) {
-      // Delta bases are stable here: the helping invariant says record v-1
-      // finished writeback before record v was chained, and no later record
-      // installs until v is done — so between those points the box's newest
-      // committed body is fixed, every racing helper materializes the same
-      // value, and install_cas rejects any helper that observed a later
-      // body (its version check fails).
-      if (write.delta != nullptr && write.box->newest_version() >= version) {
-        continue;  // another helper already installed this write
-      }
-      (void)write.box->install_cas(materialize(write, version), version,
-                                   min_active);
-    }
-    record.done.store(true, std::memory_order_release);
-  }
-  // Publish the version (monotone max; helpers may race with later records).
-  // seq_cst for the registry handshake, as in the global-lock manager.
-  std::uint64_t current = clock_->load(std::memory_order_relaxed);
-  while (current < version &&
-         !clock_->compare_exchange_weak(current, version,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-void LockFreeCommitManager::commit(CommitRequest& req) {
-  // Loop invariant maintained by helping: whenever a record for version v+1
-  // is CAS'd onto the chain, the record for version v has completed its
-  // writeback — so after help_commit(current) every committed version is
-  // visible and validation against the boxes' newest versions is exact.
-  auto record = std::make_shared<CommitRecord>();
-  record->writes.write() = std::move(req.writes);
-  for (;;) {
-    auto current = latest_.load(std::memory_order_acquire);
-    // Chaos hook (delay mode): stall this committer between loading the chain
-    // head and helping it, widening the window in which concurrent commits
-    // CAS past us and force helping/re-validation.
-    AUTOPN_FAILPOINT("stm.commit.helping");
-    help_commit(*current);
-    validate_or_throw(req);
-    record->version.write() = current->version.read() + 1;
-    record->done.store(false, std::memory_order_relaxed);
-    // Success order detail::record_publish_order() is acq_rel: the release
-    // half publishes the record's plain fields (version, writes) to every
-    // helper that acquire-loads `latest_` — the edge the model checker
-    // verifies (and reports as a race when the mc fixture weakens it).
-    if (latest_.compare_exchange_strong(current, record,
-                                        detail::record_publish_order(),
-                                        std::memory_order_acquire)) {
-      help_commit(*record);
-      return;
-    }
-    // Lost the race: a concurrent commit claimed the version. Help it and
-    // re-validate against the new state.
-  }
-}
-
-std::unique_ptr<CommitManager> make_commit_manager(
-    CommitStrategy strategy, sync::Atomic<std::uint64_t>& clock,
-    SnapshotRegistry& snapshots, ContentionProfiler& profiler) {
-  switch (strategy) {
-    case CommitStrategy::kGlobalLock:
-      return std::make_unique<GlobalLockCommitManager>(clock, snapshots,
-                                                       profiler);
-    case CommitStrategy::kLockFree:
-      return std::make_unique<LockFreeCommitManager>(clock, snapshots,
-                                                     profiler);
-  }
-  return std::make_unique<LockFreeCommitManager>(clock, snapshots, profiler);
 }
 
 }  // namespace autopn::stm

@@ -1,30 +1,21 @@
 #pragma once
-// Pluggable top-level commit protocols. A CommitManager owns the STM's
-// serialization point: it validates a transaction's global read set against
-// the version chains and installs its write set at a fresh clock version.
-// Two protocols are provided, selected by StmConfig::commit_strategy at
-// construction:
+// The top-level commit protocol. The CommitManager owns the STM's
+// serialization point: under one commit mutex it validates a transaction's
+// global read set and predicates against the version chains, installs its
+// write set at a fresh clock version, and publishes that version.
 //
-//  * GlobalLockCommitManager — validate + install under one commit mutex
-//    (simple, predictable; the conservative baseline);
-//  * LockFreeCommitManager — JVSTM-style helping commit: commit records are
-//    CAS'd onto a chain and written back cooperatively (any thread may help
-//    complete the latest record), so no thread ever blocks on a lock to
-//    commit. Caveat measured by bench/stm_scaling and documented in
-//    DESIGN.md §6: std::atomic<std::shared_ptr> is itself lock-BASED on
-//    libstdc++, so the chain head CAS degrades to a tiny spinlock there;
-//    serialization_lock_free() reports the truth for the build platform.
+// This deliberately departs from JVSTM's lock-free helping commit: measured
+// against it, the mutex ties end to end and is faster on the single-thread
+// commit path, and on libstdc++ the helping protocol's chain head
+// (std::atomic<std::shared_ptr>) is itself lock-based (DESIGN.md §9.5).
 //
-// Both managers depend only on the narrow runtime environment they are
+// The manager depends only on the narrow runtime environment it is
 // constructed with (clock, snapshot registry for pruning bounds, contention
-// profiler for conflict attribution), never on Stm itself — they are
+// profiler for conflict attribution), never on Stm itself — it is
 // independently constructible and unit-tested (tests/stm_commit_manager_test).
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "stm/predicate.hpp"
@@ -34,36 +25,6 @@
 #include "util/sync.hpp"
 
 namespace autopn::stm {
-
-namespace detail {
-/// Memory order of the CAS that publishes a freshly chained CommitRecord
-/// (LockFreeCommitManager::commit). A constant in production. Under AUTOPN_MC
-/// the mc_commit_helping fixture flips `mc_weaken_record_publish` (before any
-/// model thread spawns) to prove the checker reports the resulting
-/// publication race on the record's non-atomic fields — the "annotations are
-/// sufficient, not just explicit" demonstration of docs/MODEL_CHECKING.md.
-#if defined(AUTOPN_MC) && AUTOPN_MC
-inline bool mc_weaken_record_publish = false;
-inline std::memory_order record_publish_order() noexcept {
-  return mc_weaken_record_publish ? std::memory_order_relaxed
-                                  : std::memory_order_acq_rel;
-}
-#else
-constexpr std::memory_order record_publish_order() noexcept {
-  return std::memory_order_acq_rel;
-}
-#endif
-}  // namespace detail
-
-/// How top-level commits serialize.
-enum class CommitStrategy {
-  /// Validate + install under a global commit mutex (simple, predictable).
-  kGlobalLock,
-  /// JVSTM-style lock-free commit: commit records are CAS'd onto a chain and
-  /// written back cooperatively (any thread may help complete the latest
-  /// record), so no thread ever blocks on a lock to commit.
-  kLockFree,
-};
 
 /// One write to install: either a full value (box-granularity overwrite) or
 /// a datatype op log applied to the newest committed value inside the commit
@@ -97,7 +58,9 @@ struct CommitRequest {
 
 class CommitManager {
  public:
-  virtual ~CommitManager() = default;
+  CommitManager(sync::Atomic<std::uint64_t>& clock, SnapshotRegistry& snapshots,
+                ContentionProfiler& profiler)
+      : clock_(&clock), snapshots_(&snapshots), profiler_(&profiler) {}
 
   CommitManager(const CommitManager&) = delete;
   CommitManager& operator=(const CommitManager&) = delete;
@@ -110,95 +73,24 @@ class CommitManager {
   /// sub-key, where it has one — is reported to the contention profiler
   /// first). `req.writes` may be consumed even on failure; the caller
   /// rebuilds it on retry.
-  virtual void commit(CommitRequest& req) = 0;
+  void commit(CommitRequest& req);
 
-  /// Protocol name for diagnostics and bench labels.
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
-  /// Whether the serialization point is genuinely lock-free *on this build
-  /// platform* (see file comment; false for kGlobalLock by construction, and
-  /// false for kLockFree when atomic<shared_ptr> is lock-based).
-  [[nodiscard]] virtual bool serialization_lock_free() const noexcept = 0;
-
- protected:
-  CommitManager(sync::Atomic<std::uint64_t>& clock, SnapshotRegistry& snapshots,
-                ContentionProfiler& profiler)
-      : clock_(&clock), snapshots_(&snapshots), profiler_(&profiler) {}
-
-  /// Shared validation: every read box's newest version must still be at or
-  /// below the snapshot, and every predicate must still hold over its box's
-  /// newest committed value. Reports the first failing box and throws.
+ private:
+  /// Every read box's newest version must still be at or below the
+  /// snapshot, and every predicate must still hold over its box's newest
+  /// committed value. Reports the first failing box and throws.
   void validate_or_throw(const CommitRequest& req) const;
 
   /// Materializes one write for installation at `version`: the full value,
   /// or the delta applied to the box's newest committed value. Must run
-  /// inside the serialization protocol, after validation.
+  /// under mutex_, after validation.
   [[nodiscard]] static std::shared_ptr<const void> materialize(
       const CommitWrite& write, std::uint64_t version);
 
   sync::Atomic<std::uint64_t>* clock_;
   SnapshotRegistry* snapshots_;
   ContentionProfiler* profiler_;
+  sync::Mutex mutex_;  ///< the serialization point: validate + install + publish
 };
-
-/// Strategy kGlobalLock: one mutex serializes validate + install.
-class GlobalLockCommitManager final : public CommitManager {
- public:
-  GlobalLockCommitManager(sync::Atomic<std::uint64_t>& clock,
-                          SnapshotRegistry& snapshots,
-                          ContentionProfiler& profiler)
-      : CommitManager(clock, snapshots, profiler) {}
-
-  void commit(CommitRequest& req) override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "global-lock";
-  }
-  [[nodiscard]] bool serialization_lock_free() const noexcept override {
-    return false;
-  }
-
- private:
-  sync::Mutex mutex_;
-};
-
-/// Strategy kLockFree: JVSTM-style commit-record chain with helping.
-class LockFreeCommitManager final : public CommitManager {
- public:
-  LockFreeCommitManager(sync::Atomic<std::uint64_t>& clock,
-                        SnapshotRegistry& snapshots,
-                        ContentionProfiler& profiler);
-
-  void commit(CommitRequest& req) override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "lock-free";
-  }
-  [[nodiscard]] bool serialization_lock_free() const noexcept override {
-    return latest_.is_lock_free();
-  }
-
- private:
-  /// One commit's payload: the version it claims and the write set to
-  /// install. `done` flips after every body is (idempotently) installed.
-  /// Delta writes are materialized by whichever helper performs them — safe
-  /// because the helping invariant pins each written box's newest committed
-  /// body until this record's version is installed, so racing helpers
-  /// compute the same value and install_cas arbitrates.
-  struct CommitRecord {
-    sync::Shared<std::uint64_t> version{0};
-    sync::Shared<std::vector<CommitWrite>> writes;
-    sync::Atomic<bool> done{true};
-  };
-
-  /// Completes a record's writeback (idempotent; any thread may help) and
-  /// publishes its version to the clock.
-  void help_commit(CommitRecord& record);
-
-  sync::Atomic<std::shared_ptr<CommitRecord>> latest_;
-};
-
-/// Builds the manager for `strategy` over the given runtime environment.
-[[nodiscard]] std::unique_ptr<CommitManager> make_commit_manager(
-    CommitStrategy strategy, sync::Atomic<std::uint64_t>& clock,
-    SnapshotRegistry& snapshots, ContentionProfiler& profiler);
 
 }  // namespace autopn::stm

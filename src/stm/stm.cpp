@@ -81,8 +81,7 @@ std::chrono::microseconds backoff_delay(unsigned attempt,
 Stm::Stm(StmConfig config)
     : config_(config),
       snapshots_(clock_, config.snapshot_slots),
-      commit_manager_(make_commit_manager(config.commit_strategy, clock_,
-                                          snapshots_, profiler_)),
+      commit_manager_(clock_, snapshots_, profiler_),
       top_gate_(std::max<std::size_t>(1, config.initial_top)),
       child_limit_(std::max<std::size_t>(1, config.initial_children)),
       pool_(std::max<std::size_t>(1, config.pool_threads)) {}

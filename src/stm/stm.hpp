@@ -1,12 +1,13 @@
 #pragma once
 // The PN-STM runtime, composed from independently testable components: a
-// global version clock, a pluggable CommitManager (commit serialization), a
+// global version clock, a CommitManager (the commit serialization point), a
 // lock-free SnapshotRegistry (active snapshots for version pruning), sharded
 // StmStats/ContentionProfiler (statistics and hotspot profiling), the shared
 // nested-transaction thread pool (set P of paper §III-A), and the actuator
 // gates bounding top-level (t) and per-tree nested (c) concurrency.
 //
-// This is the C++ counterpart of JVSTM extended with the paper's actuator
+// This is the C++ counterpart of JVSTM, with a global-lock commit in place of
+// JVSTM's lock-free one (DESIGN.md §9.5), extended with the paper's actuator
 // hooks: begin/commit of top-level transactions pass through a resizable
 // semaphore of capacity t; children run help-first within a per-tree budget
 // of c threads (sized per top-level attempt from the current setting, so
@@ -51,9 +52,6 @@ struct StmConfig {
   /// Initial actuator settings (t, c).
   std::size_t initial_top = 1;
   std::size_t initial_children = 1;
-  /// Top-level commit serialization (paper-faithful default: lock-free, as
-  /// JVSTM; kGlobalLock is the conservative alternative).
-  CommitStrategy commit_strategy = CommitStrategy::kLockFree;
   /// Slots in the lock-free active-snapshot registry; transactions beyond
   /// this many simultaneously active fall back to a mutex-protected overflow
   /// path (see SnapshotRegistry).
@@ -202,7 +200,7 @@ class Stm {
   [[nodiscard]] const StmConfig& config() const noexcept { return config_; }
   [[nodiscard]] util::ThreadPool& pool() noexcept { return pool_; }
   [[nodiscard]] CommitManager& commit_manager() noexcept {
-    return *commit_manager_;
+    return commit_manager_;
   }
   [[nodiscard]] SnapshotRegistry& snapshots() noexcept { return snapshots_; }
   [[nodiscard]] StmStats& counters() noexcept { return stats_; }
@@ -236,7 +234,7 @@ class Stm {
   SnapshotRegistry snapshots_;
   StmStats stats_;
   ContentionProfiler profiler_;
-  std::unique_ptr<CommitManager> commit_manager_;
+  CommitManager commit_manager_;
 
   util::ResizableSemaphore top_gate_;
   std::atomic<std::size_t> child_limit_;

@@ -386,8 +386,7 @@ void Tx::commit_top_level() {
   }
 
   // Materialize the read/write/predicate sets once and hand the request to
-  // the commit manager; the serialization protocol (global lock vs lock-free
-  // helping) is entirely the manager's concern. By construction every
+  // the commit manager, which owns the serialization. By construction every
   // surviving entry at the root is anchored on committed state: owner lists
   // were popped level by level on the way up, and tree-local entries were
   // discharged at their owning level.

@@ -38,10 +38,9 @@
 // when the enclosing transaction itself commits (compositional validation).
 // Top-level commit materializes the global read set, the predicate set and
 // the write set (values and deltas) into a CommitRequest and hands it to the
-// Stm's pluggable CommitManager, which validates both against the version
-// chains / newest committed values and installs new versions under its
-// serialization protocol (global lock or lock-free helping — see
-// stm/commit_manager.hpp).
+// Stm's CommitManager, which validates both against the version chains /
+// newest committed values and installs new versions under its commit mutex
+// (see stm/commit_manager.hpp).
 
 #include <cstdint>
 #include <functional>

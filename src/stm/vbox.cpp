@@ -22,14 +22,15 @@ const Body* VBoxBase::body_at(std::uint64_t snapshot) const noexcept {
 }
 
 void VBoxBase::prune(Body* from, std::uint64_t min_active_snapshot) noexcept {
-  // At most one pruner per box: a helper delayed inside an older version's
-  // install could otherwise traverse the tail while the newer version's
-  // installer truncates and frees it. Pruning is an optimization, so on
-  // contention we simply skip — the next install retries with a fresher
-  // (larger) min_active_snapshot and reclaims strictly more.
+  // At most one pruner per box. Every install — and so every prune — runs
+  // under the commit mutex, so two pruners never meet; the guard stays so
+  // that pruning keeps no hidden dependence on that lock (a second pruner
+  // would traverse the tail while the first truncates and frees it). Pruning
+  // is an optimization, so on contention we simply skip — the next install
+  // retries with a fresher (larger) min_active_snapshot and reclaims more.
   if (prune_busy_.exchange(true, std::memory_order_acquire)) return;
-  // Chaos hook (delay mode): hold the prune guard longer, forcing concurrent
-  // installers to skip pruning and stressing chain growth + deferred reclaim.
+  // Chaos hook (delay mode): hold the prune guard — and with it the commit
+  // mutex — longer, stretching commit serialization while readers traverse.
   AUTOPN_FAILPOINT("stm.vbox.prune");
   Body* keep = from;
   for (;;) {
@@ -57,27 +58,6 @@ void VBoxBase::install(std::shared_ptr<const void> value, std::uint64_t version,
   // with snapshot s >= min_active_snapshot stops its traversal on a retained
   // body, so freeing older ones is safe (see header contract).
   prune(body, min_active_snapshot);
-}
-
-bool VBoxBase::install_cas(const std::shared_ptr<const void>& value,
-                           std::uint64_t version,
-                           std::uint64_t min_active_snapshot) {
-  Body* old_head = head_.load(std::memory_order_acquire);
-  for (;;) {
-    if (old_head != nullptr && old_head->version.read() >= version) {
-      return false;  // another helper already installed this (or a newer) body
-    }
-    auto* body = new Body{version, value, old_head};
-    if (head_.compare_exchange_weak(old_head, body, std::memory_order_release,
-                                    std::memory_order_acquire)) {
-      // We own this version's installation; prune opportunistically (skipped
-      // if a helper delayed in an older version's install still holds the
-      // box's prune guard).
-      prune(body, min_active_snapshot);
-      return true;
-    }
-    delete body;  // lost the race; re-examine the new head
-  }
 }
 
 std::size_t VBoxBase::chain_length() const noexcept {

@@ -7,10 +7,8 @@
 //
 // Concurrency contract:
 //  * readers traverse the chain lock-free (acquire-load of the head);
-//  * writers install new bodies only from within a CommitManager's
-//    serialization protocol (under the global commit mutex, or as the
-//    lock-free helping protocol's idempotent install_cas), and
-//    opportunistically prune bodies no active snapshot can reach;
+//  * writers install new bodies only under the CommitManager's commit mutex,
+//    and opportunistically prune bodies no active snapshot can reach;
 //  * values are immutable once published (held via shared_ptr<const void>).
 
 #include <cstdint>
@@ -62,20 +60,12 @@ class VBoxBase {
     return b != nullptr ? b->version.read() : 0;
   }
 
-  /// Installs a new body. Caller must hold the global commit mutex.
+  /// Installs a new body. Caller must hold the commit mutex.
   /// `min_active_snapshot` lets the box prune bodies that no active or future
   /// transaction can observe (all bodies strictly older than the newest body
   /// with version <= min_active_snapshot).
   void install(std::shared_ptr<const void> value, std::uint64_t version,
                std::uint64_t min_active_snapshot);
-
-  /// Lock-free idempotent installation for the helping commit protocol:
-  /// succeeds (and prunes) only if this box's newest version is still older
-  /// than `version`; returns false when the body is already present (another
-  /// helper won). The commit-record chain guarantees versions are installed
-  /// in increasing order, so a CAS loss implies the work is done.
-  bool install_cas(const std::shared_ptr<const void>& value, std::uint64_t version,
-                   std::uint64_t min_active_snapshot);
 
   /// Number of retained bodies (test/diagnostic helper; O(chain)). Requires
   /// quiescence: it walks the full chain, including bodies a concurrent
@@ -92,8 +82,9 @@ class VBoxBase {
  private:
   /// Truncates and frees bodies older than the newest one at or below
   /// `min_active_snapshot`, starting the scan at `from`. Opportunistic: if
-  /// another thread is already pruning this box (a delayed helper from an
-  /// older commit record), skips — the next install will catch up.
+  /// another thread is already pruning this box, skips — the next install
+  /// will catch up. Installs are serialized by the commit mutex, so the
+  /// guard is a backstop rather than a live arbiter (see vbox.cpp).
   void prune(Body* from, std::uint64_t min_active_snapshot) noexcept;
 
   sync::Atomic<Body*> head_{nullptr};

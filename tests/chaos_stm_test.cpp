@@ -44,26 +44,22 @@ TEST_F(ChaosStmTest, BackoffDelayIsCappedAndJittered) {
 
 TEST_F(ChaosStmTest, EscalationCompletesUnderCertainInjectedConflict) {
   if (!util::FailpointRegistry::compiled_in()) GTEST_SKIP();
-  for (const CommitStrategy strategy :
-       {CommitStrategy::kGlobalLock, CommitStrategy::kLockFree}) {
-    util::FailpointRegistry::instance().arm_from_string(
-        "stm.commit.validate=error(p=1)");
-    StmConfig config;
-    config.commit_strategy = strategy;
-    config.retry_budget = 4;
-    Stm stm{config};
-    VBox<int> box;
-    stm.run_top([&](Tx& tx) { box.write(tx, 0); });  // init (also injected!)
-    stm.run_top([&](Tx& tx) { box.write(tx, box.read(tx) + 1); });
-    util::FailpointRegistry::instance().disarm_all();
-    EXPECT_EQ(stm.read_only<int>([&](Tx& tx) { return box.read(tx); }), 1);
-    const StmStatsSnapshot stats = stm.stats();
-    // Every normal attempt was injected-aborted, so both transactions can
-    // only have finished through escalation.
-    EXPECT_EQ(stats.top_escalations, 2u);
-    EXPECT_GE(stats.aborts_injected, 8u);  // 4 budgeted attempts each
-    EXPECT_EQ(stats.top_commits, 3u);      // 2 escalated + 1 read-only
-  }
+  util::FailpointRegistry::instance().arm_from_string(
+      "stm.commit.validate=error(p=1)");
+  StmConfig config;
+  config.retry_budget = 4;
+  Stm stm{config};
+  VBox<int> box;
+  stm.run_top([&](Tx& tx) { box.write(tx, 0); });  // init (also injected!)
+  stm.run_top([&](Tx& tx) { box.write(tx, box.read(tx) + 1); });
+  util::FailpointRegistry::instance().disarm_all();
+  EXPECT_EQ(stm.read_only<int>([&](Tx& tx) { return box.read(tx); }), 1);
+  const StmStatsSnapshot stats = stm.stats();
+  // Every normal attempt was injected-aborted, so both transactions can only
+  // have finished through escalation.
+  EXPECT_EQ(stats.top_escalations, 2u);
+  EXPECT_GE(stats.aborts_injected, 8u);  // 4 budgeted attempts each
+  EXPECT_EQ(stats.top_commits, 3u);      // 2 escalated + 1 read-only
 }
 
 TEST_F(ChaosStmTest, RetryBudgetZeroNeverEscalates) {

@@ -2,7 +2,7 @@
 // build: the mc:: primitives are used explicitly here, so the scheduler,
 // happens-before engine, and exploration strategies get tier-1 coverage
 // without an AUTOPN_MC configure. The component harnesses that check the
-// production code through the seam live in tests/mc_commit_helping.cpp etc.
+// production code through the seam live in tests/mc_commit.cpp etc.
 // and build only under the `mc` preset.
 
 #include <memory>

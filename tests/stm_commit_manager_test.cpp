@@ -1,4 +1,4 @@
-// CommitManager unit tests, exercising both protocols directly against a
+// CommitManager unit tests, exercising the commit protocol directly against a
 // standalone clock + SnapshotRegistry + ContentionProfiler — no Stm, no Tx —
 // to pin down the serialization contract: versions are dense, validation
 // rejects stale reads, conflicts are attributed to the profiler, and pruning
@@ -20,12 +20,9 @@
 namespace autopn::stm {
 namespace {
 
-class CommitManagerTest : public ::testing::TestWithParam<CommitStrategy> {
+class CommitManagerTest : public ::testing::Test {
  protected:
-  CommitManagerTest()
-      : registry_(clock_),
-        manager_(make_commit_manager(GetParam(), clock_, registry_,
-                                     profiler_)) {}
+  CommitManagerTest() : registry_(clock_), manager_(clock_, registry_, profiler_) {}
 
   static CommitRequest write_request(std::uint64_t snapshot, VBoxBase& box,
                                      int value) {
@@ -38,30 +35,21 @@ class CommitManagerTest : public ::testing::TestWithParam<CommitStrategy> {
   std::atomic<std::uint64_t> clock_{0};
   SnapshotRegistry registry_;
   ContentionProfiler profiler_;
-  std::unique_ptr<CommitManager> manager_;
+  CommitManager manager_;
 };
 
-TEST_P(CommitManagerTest, FactoryBuildsRequestedProtocol) {
-  const auto expected =
-      GetParam() == CommitStrategy::kGlobalLock ? "global-lock" : "lock-free";
-  EXPECT_EQ(manager_->name(), expected);
-  if (GetParam() == CommitStrategy::kGlobalLock) {
-    EXPECT_FALSE(manager_->serialization_lock_free());
-  }
-}
-
-TEST_P(CommitManagerTest, CommitInstallsAtNextVersionAndPublishesClock) {
+TEST_F(CommitManagerTest, CommitInstallsAtNextVersionAndPublishesClock) {
   VBox<int> box;
   for (int i = 1; i <= 5; ++i) {
     auto req = write_request(clock_.load(), box, i);
-    manager_->commit(req);
+    manager_.commit(req);
     EXPECT_EQ(clock_.load(), static_cast<std::uint64_t>(i));
     EXPECT_EQ(box.newest_version(), static_cast<std::uint64_t>(i));
     EXPECT_EQ(box.peek(), i);
   }
 }
 
-TEST_P(CommitManagerTest, StaleReadThrowsAndReportsHotspot) {
+TEST_F(CommitManagerTest, StaleReadThrowsAndReportsHotspot) {
   VBox<int> read_box{1};
   read_box.set_label("stale-box");
   VBox<int> write_box{0};
@@ -70,12 +58,12 @@ TEST_P(CommitManagerTest, StaleReadThrowsAndReportsHotspot) {
   const std::uint64_t snapshot = clock_.load();
   // Another transaction commits to read_box, making our snapshot stale.
   auto other = write_request(snapshot, read_box, 7);
-  manager_->commit(other);
+  manager_.commit(other);
 
   CommitRequest req = write_request(snapshot, write_box, 9);
   req.read_boxes.push_back(&read_box);
   try {
-    manager_->commit(req);
+    manager_.commit(req);
     FAIL() << "expected ConflictError";
   } catch (const ConflictError& conflict) {
     EXPECT_EQ(conflict.kind(), ConflictKind::kTopLevelValidation);
@@ -90,19 +78,19 @@ TEST_P(CommitManagerTest, StaleReadThrowsAndReportsHotspot) {
   EXPECT_EQ(hotspots[0].conflicts, 1u);
 }
 
-TEST_P(CommitManagerTest, ReadsAtCurrentSnapshotPassValidation) {
+TEST_F(CommitManagerTest, ReadsAtCurrentSnapshotPassValidation) {
   VBox<int> box{5};
   auto setup = write_request(clock_.load(), box, 6);
-  manager_->commit(setup);
+  manager_.commit(setup);
 
   VBox<int> target{0};
   CommitRequest req = write_request(clock_.load(), target, 1);
   req.read_boxes.push_back(&box);
-  EXPECT_NO_THROW(manager_->commit(req));
+  EXPECT_NO_THROW(manager_.commit(req));
   EXPECT_EQ(clock_.load(), 2u);
 }
 
-TEST_P(CommitManagerTest, ConcurrentDisjointCommitsClaimDenseVersions) {
+TEST_F(CommitManagerTest, ConcurrentDisjointCommitsClaimDenseVersions) {
   constexpr int kThreads = 4;
   constexpr int kCommitsPerThread = 200;
   std::vector<std::unique_ptr<VBox<int>>> boxes;
@@ -118,7 +106,7 @@ TEST_P(CommitManagerTest, ConcurrentDisjointCommitsClaimDenseVersions) {
           auto handle = registry_.acquire();
           auto req = write_request(handle.snapshot(), *boxes[t], i);
           try {
-            manager_->commit(req);
+            manager_.commit(req);
             break;
           } catch (const ConflictError&) {
             // Disjoint writes with empty read sets never conflict.
@@ -138,17 +126,17 @@ TEST_P(CommitManagerTest, ConcurrentDisjointCommitsClaimDenseVersions) {
   }
 }
 
-TEST_P(CommitManagerTest, PruningRespectsRegistryMinimum) {
+TEST_F(CommitManagerTest, PruningRespectsRegistryMinimum) {
   VBox<int> box{0};
   // Hold a snapshot at version 1 while later versions are installed.
   auto first = write_request(clock_.load(), box, 1);
-  manager_->commit(first);
+  manager_.commit(first);
   auto pinned = registry_.acquire();
   ASSERT_EQ(pinned.snapshot(), 1u);
 
   for (int i = 2; i <= 6; ++i) {
     auto req = write_request(clock_.load(), box, i);
-    manager_->commit(req);
+    manager_.commit(req);
   }
   // The pinned snapshot must still resolve: version 1's body survived.
   const Body* body = box.body_at(1);
@@ -161,21 +149,12 @@ TEST_P(CommitManagerTest, PruningRespectsRegistryMinimum) {
 
   pinned.release();
   auto last = write_request(clock_.load(), box, 7);
-  manager_->commit(last);
+  manager_.commit(last);
   // With the pin gone the chain collapses: just the new body plus at most one
   // older body still reachable from min_active (== the pre-commit clock).
   EXPECT_LE(box.chain_length(), 2u);
   EXPECT_EQ(box.body_at(1), nullptr);  // version 1 finally pruned
 }
-
-INSTANTIATE_TEST_SUITE_P(Strategies, CommitManagerTest,
-                         ::testing::Values(CommitStrategy::kGlobalLock,
-                                           CommitStrategy::kLockFree),
-                         [](const ::testing::TestParamInfo<CommitStrategy>& info) {
-                           return info.param == CommitStrategy::kGlobalLock
-                                      ? "GlobalLock"
-                                      : "LockFree";
-                         });
 
 }  // namespace
 }  // namespace autopn::stm

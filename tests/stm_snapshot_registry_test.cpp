@@ -152,14 +152,10 @@ TEST(SnapshotRegistry, MinNeverExceedsLiveSnapshotUnderChurn) {
 // with pruning, readers would observe "transactional read of an
 // uninitialized VBox" (std::logic_error) — which run_top propagates and the
 // jthread turns into std::terminate, failing the test loudly.
-class SnapshotPruningRegression
-    : public ::testing::TestWithParam<CommitStrategy> {};
-
-TEST_P(SnapshotPruningRegression, ActiveSnapshotsNeverLoseBodies) {
+TEST(SnapshotPruningRegression, ActiveSnapshotsNeverLoseBodies) {
   StmConfig cfg;
   cfg.initial_top = 8;
   cfg.pool_threads = 1;
-  cfg.commit_strategy = GetParam();
   cfg.snapshot_slots = 2;  // force slot contention + overflow registrations
   Stm stm{cfg};
 
@@ -196,15 +192,6 @@ TEST_P(SnapshotPruningRegression, ActiveSnapshotsNeverLoseBodies) {
   EXPECT_LE(hot.chain_length(), 2u);
   EXPECT_GT(stm.stats().top_commits, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Strategies, SnapshotPruningRegression,
-                         ::testing::Values(CommitStrategy::kGlobalLock,
-                                           CommitStrategy::kLockFree),
-                         [](const ::testing::TestParamInfo<CommitStrategy>& info) {
-                           return info.param == CommitStrategy::kGlobalLock
-                                      ? "GlobalLock"
-                                      : "LockFree";
-                         });
 
 }  // namespace
 }  // namespace autopn::stm

@@ -1,10 +1,9 @@
-// Tests for the table/CSV emitters and the logging facility.
+// Tests for the table/CSV emitters and number formatting.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 
-#include "util/log.hpp"
 #include "util/table.hpp"
 
 namespace autopn::util {
@@ -53,29 +52,6 @@ TEST(Format, FmtDouble) {
 TEST(Format, FmtPercent) {
   EXPECT_EQ(fmt_percent(0.218, 1), "21.8%");
   EXPECT_EQ(fmt_percent(1.0, 0), "100%");
-}
-
-TEST(Log, LevelGate) {
-  set_log_level(LogLevel::kOff);
-  bool built = false;
-  log_if(LogLevel::kInfo, "test", [&](std::ostringstream&) { built = true; });
-  EXPECT_FALSE(built);  // message lazily skipped
-
-  set_log_level(LogLevel::kInfo);
-  log_if(LogLevel::kInfo, "test", [&](std::ostringstream& os) {
-    built = true;
-    os << "hello";
-  });
-  EXPECT_TRUE(built);
-  set_log_level(LogLevel::kOff);
-}
-
-TEST(Log, MacroCompiles) {
-  set_log_level(LogLevel::kDebug);
-  AUTOPN_LOG_DEBUG("tag", "value=" << 42);
-  AUTOPN_LOG_INFO("tag", "info");
-  AUTOPN_LOG_ERROR("tag", "error");
-  set_log_level(LogLevel::kOff);
 }
 
 }  // namespace
