@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+cmake -B build -S .
 cmake --build build
 ctest --test-dir build --output-on-failure
 
@@ -148,7 +148,7 @@ scripts/run_cluster.sh --smoke
 # and use-after-free coverage in every full run.
 echo "== cluster smoke: elastic membership churn =="
 scripts/run_cluster.sh --smoke --elastic
-cmake --build build-asan-ubsan --target autopn
+cmake --build build-asan-ubsan --target autopn_cli
 echo "== cluster smoke: elastic membership churn (asan-ubsan) =="
 scripts/run_cluster.sh --smoke --elastic --build build-asan-ubsan
 

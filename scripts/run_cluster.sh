@@ -48,7 +48,7 @@ done
 
 autopn="$build/tools/autopn"
 if [ ! -x "$autopn" ]; then
-  echo "run_cluster: $autopn not built (cmake --build $build --target autopn)" >&2
+  echo "run_cluster: $autopn not built (cmake --build $build --target autopn_cli)" >&2
   exit 2
 fi
 

@@ -127,7 +127,8 @@ Client Client::connect(const std::string& host, std::uint16_t port,
   while (!client.handshaken_) {
     if (!client.read_batch(seconds_until(deadline))) {
       client.close();
-      throw std::runtime_error{"handshake: no HelloAck"};
+      throw std::runtime_error{
+          "handshake: no accepting HelloAck (wire version mismatch?)"};
     }
   }
   return client;
@@ -158,7 +159,6 @@ Client::Client(Client&& other) noexcept
       next_id_(other.next_id_.load(std::memory_order_relaxed)),
       closed_(other.closed_.load(std::memory_order_relaxed)),
       handshaken_(other.handshaken_),
-      wire_minor_(other.wire_minor_),
       decoder_(std::move(other.decoder_)),
       pending_(std::move(other.pending_)),
       pending_stats_(std::move(other.pending_stats_)),
@@ -173,7 +173,6 @@ Client& Client::operator=(Client&& other) noexcept {
     closed_.store(other.closed_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
     handshaken_ = other.handshaken_;
-    wire_minor_ = other.wire_minor_;
     decoder_ = std::move(other.decoder_);
     pending_ = std::move(other.pending_);
     pending_stats_ = std::move(other.pending_stats_);
@@ -256,7 +255,6 @@ bool Client::read_batch(double timeout_seconds) {
           return false;
         }
         handshaken_ = true;
-        wire_minor_ = std::min(ack->minor, kWireMinor);
         continue;  // handshake complete; keep draining data frames
       }
       if (frame->type == FrameType::kStatsResponse) {
@@ -316,7 +314,7 @@ std::optional<ResponseFrame> Client::recv(double timeout_seconds) {
 }
 
 bool Client::send_stats_request() {
-  if (!connected() || wire_minor_ < 1) return false;
+  if (!connected()) return false;
   std::vector<std::uint8_t> bytes;
   encode_stats_request(bytes);
   if (!send_all(fd_, bytes.data(), bytes.size())) {
@@ -340,7 +338,7 @@ std::optional<StatsFrame> Client::poll_stats(double timeout_seconds) {
 }
 
 bool Client::send_membership(const MembershipRequest& request) {
-  if (!connected() || wire_minor_ < 2) return false;
+  if (!connected()) return false;
   std::vector<std::uint8_t> bytes;
   encode_membership_request(bytes, request);
   if (!send_all(fd_, bytes.data(), bytes.size())) {

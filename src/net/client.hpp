@@ -86,26 +86,21 @@ class Client {
                                     std::uint64_t deadline_us = 0,
                                     double timeout_seconds = 5.0);
 
-  /// Asks the server for its KPI aggregates (minor >= 1 only — returns
-  /// false on a legacy connection). The answer arrives via poll_stats().
+  /// Asks the server for its KPI aggregates; false if the connection is
+  /// closed. The answer arrives via poll_stats().
   bool send_stats_request();
 
   /// Next buffered StatsFrame, reading the socket up to `timeout_seconds`.
   /// Response frames seen while waiting are buffered for recv()/call().
   std::optional<StatsFrame> poll_stats(double timeout_seconds);
 
-  /// Sends one membership control request (minor >= 2 only — returns false
-  /// on an older connection). The answer arrives via poll_membership().
+  /// Sends one membership control request; false if the connection is
+  /// closed. The answer arrives via poll_membership().
   bool send_membership(const MembershipRequest& request);
 
   /// Next buffered MembershipFrame, reading the socket up to
   /// `timeout_seconds`. Other frames seen while waiting are buffered.
   std::optional<MembershipFrame> poll_membership(double timeout_seconds);
-
-  /// The minor negotiated at handshake (0 when talking to a legacy peer).
-  [[nodiscard]] std::uint16_t wire_minor() const noexcept {
-    return wire_minor_;
-  }
 
   [[nodiscard]] bool connected() const noexcept {
     return fd_ >= 0 && !closed_.load(std::memory_order_relaxed);
@@ -134,7 +129,6 @@ class Client {
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<bool> closed_{false};  ///< either side may observe the break
   bool handshaken_ = false;          ///< receiver side: HelloAck(ok) seen
-  std::uint16_t wire_minor_ = 0;     ///< set once at handshake, then const
   FrameDecoder decoder_;
   std::deque<ResponseFrame> pending_;
   std::deque<StatsFrame> pending_stats_;

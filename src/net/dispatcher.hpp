@@ -29,8 +29,8 @@ namespace autopn::net {
 class RequestDispatcher {
  public:
   /// Sends the response for one dispatched request. The server fills in
-  /// request_id and the connection's negotiated wire minor; liveness is the
-  /// server's problem (a dead connection counts the response as dropped).
+  /// request_id; liveness is the server's problem (a dead connection
+  /// counts the response as dropped).
   /// Safe to invoke from any thread, including inside dispatch() itself.
   using RespondFn = std::function<void(ResponseFrame)>;
 
@@ -43,13 +43,13 @@ class RequestDispatcher {
   /// during server shutdown, after no further dispatches can arrive.
   virtual void drain() = 0;
 
-  /// KPI aggregates served to a kStatsRequest (minor >= 1 connections).
+  /// KPI aggregates served to a kStatsRequest.
   [[nodiscard]] virtual StatsFrame stats() = 0;
 
-  /// Answer to a kMembershipRequest (minor >= 2 connections), invoked on
-  /// the server's loop thread. The base implementation rejects with
-  /// ok=false — only the routing tier owns a mutable shard set; a plain
-  /// shard answering "not supported" is the correct protocol outcome.
+  /// Answer to a kMembershipRequest, invoked on the server's loop thread.
+  /// The base implementation rejects with ok=false — only the routing tier
+  /// owns a mutable shard set; a plain shard answering "not supported" is
+  /// the correct protocol outcome.
   [[nodiscard]] virtual MembershipFrame membership(
       const MembershipRequest& request);
 };

@@ -48,7 +48,7 @@ struct NetLoadResult {
   std::uint64_t ok = 0;
   std::uint64_t shed = 0;         ///< kShed + kClosing responses (all tiers)
   std::uint64_t shed_router = 0;  ///< subset of `shed` with router origin
-  /// Subsets of `shed_router` split by the minor-2 shed-detail byte: sheds
+  /// Subsets of `shed_router` split by the Response shed-detail byte: sheds
   /// for a shard the router declared dead (placement should converge away)
   /// versus transient blips (mid-flight disconnect, drain, hold overflow).
   std::uint64_t shed_router_dead = 0;

@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -218,11 +217,6 @@ bool NetServer::process_frames(std::uint64_t conn_id) {
                       hello->version == kWireVersion;
       HelloAckFrame ack;
       ack.ok = ok;
-      // Mirror the requester's form: a legacy (minor-0) hello gets the
-      // byte-identical v1.0 short ack it can parse; a modern hello gets
-      // the negotiated min(client, server) minor.
-      ack.minor = ok ? std::min(hello->minor, kWireMinor) : 0;
-      conn.wire_minor = ack.minor;
       std::vector<std::uint8_t> bytes;
       encode_hello_ack(bytes, ack);
       // A failed write closes (and frees) the connection; `conn` is dead.
@@ -239,8 +233,7 @@ bool NetServer::process_frames(std::uint64_t conn_id) {
       continue;
     }
     if (frame->type == FrameType::kStatsRequest) {
-      // Minor-1 construct: on a legacy connection it's a protocol error.
-      if (conn.wire_minor < 1) {
+      if (!parse_stats_request(frame->body)) {
         close_connection(conn_id, CloseReason::kProtocol);
         return false;
       }
@@ -251,11 +244,6 @@ bool NetServer::process_frames(std::uint64_t conn_id) {
       continue;
     }
     if (frame->type == FrameType::kMembershipRequest) {
-      // Minor-2 construct: on an older connection it's a protocol error.
-      if (conn.wire_minor < 2) {
-        close_connection(conn_id, CloseReason::kProtocol);
-        return false;
-      }
       const auto request = parse_membership_request(frame->body);
       if (!request) {
         close_connection(conn_id, CloseReason::kProtocol);
@@ -287,7 +275,6 @@ void NetServer::handle_request(Connection& conn, RequestFrame frame) {
   requests_decoded_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t conn_id = conn.id;
   const std::uint64_t request_id = frame.request_id;
-  const std::uint16_t wire_minor = conn.wire_minor;
   // The dispatcher calls respond exactly once, from any thread — the
   // ledger stays exact because respond always counts responses_enqueued
   // and deliver() accounts written-vs-dropped on the loop.
@@ -298,14 +285,14 @@ void NetServer::handle_request(Connection& conn, RequestFrame frame) {
   const double dispatched_at = mono_seconds();
   dispatcher_->dispatch(
       std::move(frame),
-      [this, conn_id, request_id, wire_minor](ResponseFrame response) {
-        respond(conn_id, request_id, wire_minor, std::move(response));
+      [this, conn_id, request_id](ResponseFrame response) {
+        respond(conn_id, request_id, std::move(response));
       });
   accept_latency_.record(mono_seconds() - dispatched_at);
 }
 
 void NetServer::respond(std::uint64_t conn_id, std::uint64_t request_id,
-                        std::uint16_t wire_minor, ResponseFrame response) {
+                        ResponseFrame response) {
   // Dispatcher context (engine worker, router io thread, or the loop
   // itself): encode here (cheap, no shared state) and hand the bytes to
   // the loop. Workers never touch the socket — a stalled or dead
@@ -315,7 +302,7 @@ void NetServer::respond(std::uint64_t conn_id, std::uint64_t request_id,
     shed_responses_.fetch_add(1, std::memory_order_relaxed);
   }
   std::vector<std::uint8_t> bytes;
-  encode_response(bytes, response, wire_minor);
+  encode_response(bytes, response);
   responses_enqueued_.fetch_add(1, std::memory_order_relaxed);
   // Reply-stage stamp: from here (the worker finished; the response exists
   // as bytes) to the moment the last byte is flushed to the socket.

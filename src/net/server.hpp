@@ -134,8 +134,6 @@ class NetServer {
     int fd = -1;
     std::uint64_t id = 0;
     bool handshaken = false;
-    /// Negotiated at handshake: min(client's hello minor, kWireMinor).
-    std::uint16_t wire_minor = 0;
     bool reading_paused = false;
     bool draining = false;  ///< shutdown: no further reads, flush only
     FrameDecoder decoder;
@@ -166,7 +164,7 @@ class NetServer {
   /// Dispatcher-side respond path: encodes on the caller's thread (worker,
   /// router io, or the loop itself) and posts the bytes to the loop.
   void respond(std::uint64_t conn_id, std::uint64_t request_id,
-               std::uint16_t wire_minor, ResponseFrame response);
+               ResponseFrame response);
   /// Loop side: appends an encoded response to the connection (if alive).
   /// `posted_at` is the reply-stage stamp taken in respond().
   void deliver(std::uint64_t conn_id, std::vector<std::uint8_t> bytes,

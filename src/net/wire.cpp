@@ -165,7 +165,6 @@ void encode_hello(std::vector<std::uint8_t>& out, const HelloFrame& f) {
   FrameBuilder b{out, FrameType::kHello};
   put_u32(out, f.magic);
   put_u16(out, f.version);
-  if (f.minor >= 1) put_u16(out, f.minor);  // minor 0 = legacy short form
   b.finish();
 }
 
@@ -173,7 +172,6 @@ void encode_hello_ack(std::vector<std::uint8_t>& out, const HelloAckFrame& f) {
   FrameBuilder b{out, FrameType::kHelloAck};
   put_u32(out, f.magic);
   put_u16(out, f.version);
-  if (f.minor >= 1) put_u16(out, f.minor);  // minor 0 = legacy short form
   put_u8(out, f.ok ? 1 : 0);
   b.finish();
 }
@@ -189,8 +187,7 @@ void encode_request(std::vector<std::uint8_t>& out, const RequestFrame& f) {
   b.finish();
 }
 
-void encode_response(std::vector<std::uint8_t>& out, const ResponseFrame& f,
-                     std::uint16_t wire_minor) {
+void encode_response(std::vector<std::uint8_t>& out, const ResponseFrame& f) {
   FrameBuilder b{out, FrameType::kResponse};
   put_u64(out, f.request_id);
   put_u8(out, static_cast<std::uint8_t>(f.status));
@@ -198,8 +195,8 @@ void encode_response(std::vector<std::uint8_t>& out, const ResponseFrame& f,
   put_u64(out, f.retry_after_us);
   put_u32(out, static_cast<std::uint32_t>(f.payload.size()));
   out.insert(out.end(), f.payload.begin(), f.payload.end());
-  if (wire_minor >= 1) put_u8(out, static_cast<std::uint8_t>(f.shed_origin));
-  if (wire_minor >= 2) put_u8(out, static_cast<std::uint8_t>(f.shed_detail));
+  put_u8(out, static_cast<std::uint8_t>(f.shed_origin));
+  put_u8(out, static_cast<std::uint8_t>(f.shed_detail));
   b.finish();
 }
 
@@ -326,13 +323,8 @@ std::optional<MembershipFrame> parse_membership(
 std::optional<HelloFrame> parse_hello(const std::vector<std::uint8_t>& body) {
   Reader r{body};
   HelloFrame f;
-  if (!r.get_u32(f.magic) || !r.get_u16(f.version)) return std::nullopt;
-  if (r.exhausted()) {
-    f.minor = 0;  // legacy v1.0 short form
-    return f;
-  }
-  if (!r.get_u16(f.minor) || f.minor == 0 || !r.exhausted()) {
-    return std::nullopt;  // long form must carry a nonzero minor, exactly
+  if (!r.get_u32(f.magic) || !r.get_u16(f.version) || !r.exhausted()) {
+    return std::nullopt;
   }
   return f;
 }
@@ -342,13 +334,10 @@ std::optional<HelloAckFrame> parse_hello_ack(
   Reader r{body};
   HelloAckFrame f;
   std::uint8_t ok = 0;
-  if (!r.get_u32(f.magic) || !r.get_u16(f.version)) return std::nullopt;
-  if (body.size() == 7) {  // legacy v1.0 short form: no minor field
-    f.minor = 0;
-  } else if (!r.get_u16(f.minor) || f.minor == 0) {
+  if (!r.get_u32(f.magic) || !r.get_u16(f.version) || !r.get_u8(ok) ||
+      !r.exhausted()) {
     return std::nullopt;
   }
-  if (!r.get_u8(ok) || !r.exhausted()) return std::nullopt;
   f.ok = ok != 0;
   return f;
 }
@@ -372,30 +361,27 @@ std::optional<ResponseFrame> parse_response(
   ResponseFrame f;
   std::uint8_t status = 0;
   std::uint32_t payload_len = 0;
+  std::uint8_t origin = 0;
+  std::uint8_t detail = 0;
   if (!r.get_u64(f.request_id) || !r.get_u8(status) ||
       status > static_cast<std::uint8_t>(Status::kClosing) ||
       !r.get_u64(f.server_latency_us) || !r.get_u64(f.retry_after_us) ||
       !r.get_u32(payload_len) || payload_len > kMaxPayloadBytes ||
-      !r.get_bytes(f.payload, payload_len)) {
-    return std::nullopt;
-  }
-  f.status = static_cast<Status>(status);
-  if (r.exhausted()) return f;  // legacy v1.0 form: no shed-origin byte
-  std::uint8_t origin = 0;
-  if (!r.get_u8(origin) ||
-      origin > static_cast<std::uint8_t>(ShedOrigin::kRouter)) {
-    return std::nullopt;
-  }
-  f.shed_origin = static_cast<ShedOrigin>(origin);
-  if (r.exhausted()) return f;  // minor-1 form: no shed-detail byte
-  std::uint8_t detail = 0;
-  if (!r.get_u8(detail) ||
+      !r.get_bytes(f.payload, payload_len) || !r.get_u8(origin) ||
+      origin > static_cast<std::uint8_t>(ShedOrigin::kRouter) ||
+      !r.get_u8(detail) ||
       detail > static_cast<std::uint8_t>(ShedDetail::kDeadBackend) ||
       !r.exhausted()) {
     return std::nullopt;
   }
+  f.status = static_cast<Status>(status);
+  f.shed_origin = static_cast<ShedOrigin>(origin);
   f.shed_detail = static_cast<ShedDetail>(detail);
   return f;
+}
+
+bool parse_stats_request(const std::vector<std::uint8_t>& body) {
+  return body.size() == 1 && body[0] == 0;
 }
 
 std::optional<StatsFrame> parse_stats(const std::vector<std::uint8_t>& body) {

@@ -22,19 +22,15 @@
 // truncated body) moves the decoder into a sticky error state; the caller
 // closes the connection, it never "resyncs" into attacker-chosen framing.
 //
-// Versioning: `version` is the major protocol revision and must match
-// exactly; `minor` rides the handshake as an optional trailing field and is
-// negotiated down to min(client, server). Minor 0 is the original v1.0
-// layout — a minor-0 Hello/HelloAck is encoded WITHOUT the trailing field,
-// byte-identical to v1.0, so a legacy peer (which rejects bodies with
-// trailing bytes) still interoperates: the responder mirrors the
-// requester's form. Constructs introduced by minor 1 — the Response
-// shed-origin byte and the Stats frame pair — are only ever sent on a
-// connection whose negotiated minor is >= 1. Minor 2 adds the Membership
-// control frame pair (runtime shard admit/retire/status for the router
-// tier) and a trailing shed-detail byte on Response that splits router
-// sheds into dead-backend vs transient; a minor-1 response is encoded
-// byte-identically to before, so every older peer interoperates.
+// Versioning: there is exactly one frame layout per `version`, and the
+// handshake pins magic and version exactly. Every client, shard and router
+// speaks the same layout, so there is nothing to negotiate: a peer built
+// against another version is answered with HelloAck ok=false and closed,
+// which fails loudly at connect time instead of mid-stream. Version 2 is the
+// layout documented on the frame structs below — Response always carries
+// its shed-origin and shed-detail bytes, and the Stats and Membership frame
+// pairs are legal on any handshaken connection. A version-1 Hello is two
+// bytes longer, so it does not even parse, and is refused the same way.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,10 +42,7 @@
 namespace autopn::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x41504E31;  // "APN1"
-inline constexpr std::uint16_t kWireVersion = 1;
-/// Highest protocol minor this implementation speaks (see file comment for
-/// the negotiation rules; 0 encodes the legacy v1.0 frame layout).
-inline constexpr std::uint16_t kWireMinor = 2;
+inline constexpr std::uint16_t kWireVersion = 2;
 /// Hard cap on `length`; a header announcing more is a protocol error (and
 /// the decoder's defense against unbounded buffering on garbage input).
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
@@ -58,14 +51,14 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 inline constexpr std::uint32_t kMaxPayloadBytes = kMaxFrameBytes - 64;
 
 enum class FrameType : std::uint8_t {
-  kHello = 1,     ///< client → server: magic + version [+ minor]
-  kHelloAck = 2,  ///< server → client: magic + version [+ minor] + accept flag
+  kHello = 1,     ///< client → server: magic + version
+  kHelloAck = 2,  ///< server → client: magic + version + accept flag
   kRequest = 3,
   kResponse = 4,
-  kStatsRequest = 5,   ///< minor >= 1: ask the server for its KPI aggregates
-  kStatsResponse = 6,  ///< minor >= 1: the server's StatsFrame
-  kMembershipRequest = 7,   ///< minor >= 2: router-tier admit/retire/status
-  kMembershipResponse = 8,  ///< minor >= 2: the router's MembershipFrame
+  kStatsRequest = 5,   ///< ask the server for its KPI aggregates
+  kStatsResponse = 6,  ///< the server's StatsFrame
+  kMembershipRequest = 7,   ///< router-tier admit/retire/status
+  kMembershipResponse = 8,  ///< the router's MembershipFrame
 };
 
 /// Engine verdict carried by a Response frame.
@@ -80,7 +73,7 @@ enum class Status : std::uint8_t {
 
 [[nodiscard]] std::string to_string(Status status);
 
-/// Which tier shed a request — carried on the wire (minor >= 1) so clients
+/// Which tier shed a request — carried on every Response so clients
 /// and the CLI SLO table can tell a router-level shed (backend down, drain,
 /// migration overflow) from a shard's own admission shedding.
 enum class ShedOrigin : std::uint8_t {
@@ -90,12 +83,12 @@ enum class ShedOrigin : std::uint8_t {
 
 [[nodiscard]] std::string to_string(ShedOrigin origin);
 
-/// Why a router-origin response shed (minor >= 2; absent means kNone). The
+/// Why a router-origin response shed (carried on every Response). The
 /// split netload's shed@rtr column needs: a shard declared dead (placement
 /// should converge away from it) versus a transient blip (connection died
 /// mid-request, drain, migration overflow) that retrying rides out.
 enum class ShedDetail : std::uint8_t {
-  kNone = 0,         ///< not a backend-health shed (or pre-minor-2 peer)
+  kNone = 0,         ///< not a backend-health shed
   kTransient = 1,    ///< momentary: disconnect mid-flight, hold overflow
   kDeadBackend = 2,  ///< the target shard exhausted its redial budget / dead
 };
@@ -105,16 +98,11 @@ enum class ShedDetail : std::uint8_t {
 struct HelloFrame {
   std::uint32_t magic = kWireMagic;
   std::uint16_t version = kWireVersion;
-  /// Highest minor the sender speaks; 0 selects the legacy short encoding.
-  std::uint16_t minor = kWireMinor;
 };
 
 struct HelloAckFrame {
   std::uint32_t magic = kWireMagic;
   std::uint16_t version = kWireVersion;
-  /// Negotiated minor = min(hello.minor, responder's kWireMinor); 0 selects
-  /// the legacy short encoding so a v1.0 requester can parse the ack.
-  std::uint16_t minor = kWireMinor;
   bool ok = true;
 };
 
@@ -136,11 +124,9 @@ struct ResponseFrame {
   /// Backoff hint, microseconds (nonzero only for kShed/kClosing).
   std::uint64_t retry_after_us = 0;
   std::vector<std::uint8_t> payload;
-  /// Which tier produced a kShed/kClosing verdict. On the wire only when
-  /// the connection negotiated minor >= 1; absent means kShard.
+  /// Which tier produced a kShed/kClosing verdict.
   ShedOrigin shed_origin = ShedOrigin::kShard;
-  /// Health classification of a router-origin shed. On the wire only when
-  /// the connection negotiated minor >= 2; absent means kNone.
+  /// Health classification of a router-origin shed.
   ShedDetail shed_detail = ShedDetail::kNone;
 };
 
@@ -152,7 +138,7 @@ struct TenantStat {
   std::uint64_t p99_us = 0;
 };
 
-/// Aggregated server KPIs answered to a kStatsRequest (minor >= 1). This is
+/// Aggregated server KPIs answered to a kStatsRequest. This is
 /// what a router polls per shard to drive latency-aware rebalancing: the
 /// engine-level counters, the cumulative latency percentiles, and the
 /// per-tenant latency slots.
@@ -171,7 +157,7 @@ struct StatsFrame {
   std::vector<TenantStat> tenants;
 };
 
-// ---- Membership control (minor >= 2) -----------------------------------
+// ---- Membership control ------------------------------------------------
 // The router tier's runtime admit/retire/status channel. A control client
 // (`autopn router-ctl`) sends one MembershipRequest; the router answers with
 // a MembershipFrame carrying the member table, the ordered membership log
@@ -237,10 +223,7 @@ struct MembershipFrame {
 void encode_hello(std::vector<std::uint8_t>& out, const HelloFrame& f = {});
 void encode_hello_ack(std::vector<std::uint8_t>& out, const HelloAckFrame& f);
 void encode_request(std::vector<std::uint8_t>& out, const RequestFrame& f);
-/// `wire_minor` is the connection's negotiated minor: the shed-origin byte
-/// is appended only for minor >= 1 (a minor-0 peer parses exactly v1.0).
-void encode_response(std::vector<std::uint8_t>& out, const ResponseFrame& f,
-                     std::uint16_t wire_minor = kWireMinor);
+void encode_response(std::vector<std::uint8_t>& out, const ResponseFrame& f);
 void encode_stats_request(std::vector<std::uint8_t>& out);
 void encode_stats(std::vector<std::uint8_t>& out, const StatsFrame& f);
 void encode_membership_request(std::vector<std::uint8_t>& out,
@@ -268,6 +251,9 @@ struct Frame {
     const std::vector<std::uint8_t>& body);
 [[nodiscard]] std::optional<ResponseFrame> parse_response(
     const std::vector<std::uint8_t>& body);
+/// A stats request's body is one reserved zero byte (a zero-length frame is
+/// a decoder error); true iff `body` is exactly that.
+[[nodiscard]] bool parse_stats_request(const std::vector<std::uint8_t>& body);
 [[nodiscard]] std::optional<StatsFrame> parse_stats(
     const std::vector<std::uint8_t>& body);
 [[nodiscard]] std::optional<MembershipRequest> parse_membership_request(

@@ -37,7 +37,7 @@
 // path, while the link keeps slow-probing so recovery is noticed — a
 // returning shard re-enters through probation and rejoins the ring only
 // after N clean polls. Shards can also be admitted and retired at runtime
-// (v1.2 Membership frames / `autopn router-ctl`); every ring change is
+// (wire Membership frames / `autopn router-ctl`); every ring change is
 // appended to an ordered membership log, and the ring is always exactly the
 // fold of that log (see health.hpp) — which is what makes placement
 // reproducible across routers. The ledger invariants hold across every

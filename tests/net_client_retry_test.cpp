@@ -3,9 +3,8 @@
 // caller to the kernel retry schedule for minutes), a closed port, and
 // connect_with_backoff's capped-exponential retry both giving up after
 // max_attempts and succeeding once a server appears mid-schedule. Also pins
-// the handshake minor negotiation from the client's side: a modern ack
-// yields wire_minor()==kWireMinor, a legacy short-form ack yields 0 and
-// disables the stats RPC.
+// the handshake verdict from the client's side: an ack with ok=false (a
+// server of another wire version) makes connect() throw.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -106,9 +105,9 @@ class RefusingPort {
   std::uint16_t port_ = 0;
 };
 
-/// Accepts one connection, parses its Hello, and answers a HelloAck with
-/// the given minor (negotiated as a real server would). Runs on a thread.
-void serve_one_handshake(int listen_fd, std::uint16_t ack_minor) {
+/// Accepts one connection, reads its Hello, and answers a HelloAck with the
+/// given verdict. Runs on a thread.
+void serve_one_handshake(int listen_fd, bool ok) {
   const int conn = ::accept(listen_fd, nullptr, nullptr);
   if (conn < 0) return;
   std::vector<std::uint8_t> buf(256);
@@ -119,8 +118,7 @@ void serve_one_handshake(int listen_fd, std::uint16_t ack_minor) {
     decoder.feed(buf.data(), static_cast<std::size_t>(n));
     if (auto frame = decoder.next()) {
       HelloAckFrame ack;
-      ack.minor = ack_minor;
-      ack.ok = true;
+      ack.ok = ok;
       std::vector<std::uint8_t> out;
       encode_hello_ack(out, ack);
       (void)::send(conn, out.data(), out.size(), MSG_NOSIGNAL);
@@ -175,7 +173,7 @@ TEST(NetClientRetry, BackoffSucceedsOnceServerAppears) {
     // port starts listening and answers the handshake.
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     if (::listen(fd, 4) != 0) return;
-    serve_one_handshake(fd, kWireMinor);
+    serve_one_handshake(fd, /*ok=*/true);
   }};
   BackoffPolicy policy;
   policy.attempt_timeout_seconds = 1.0;
@@ -187,20 +185,17 @@ TEST(NetClientRetry, BackoffSucceedsOnceServerAppears) {
   server.join();
   ASSERT_TRUE(client.has_value());
   EXPECT_TRUE(client->connected());
-  EXPECT_EQ(client->wire_minor(), kWireMinor);
 }
 
-TEST(NetClientRetry, LegacyAckNegotiatesMinorZeroAndDisablesStats) {
+TEST(NetClientRetry, NakedHandshakeThrows) {
   RefusingPort port_holder;
   ASSERT_EQ(::listen(port_holder.fd(), 4), 0);
   std::thread server{[fd = port_holder.fd()] {
-    serve_one_handshake(fd, /*ack_minor=*/0);  // legacy short-form ack
+    serve_one_handshake(fd, /*ok=*/false);
   }};
-  auto client = Client::connect("127.0.0.1", port_holder.port(), 2.0);
+  EXPECT_THROW(Client::connect("127.0.0.1", port_holder.port(), 2.0),
+               std::runtime_error);
   server.join();
-  EXPECT_EQ(client.wire_minor(), 0u);
-  EXPECT_FALSE(client.send_stats_request());
-  EXPECT_TRUE(client.connected()) << "a refused stats RPC must not close";
 }
 
 }  // namespace

@@ -368,68 +368,53 @@ TEST(NetServer, NetloadOpenLoopSustainsTraffic) {
   expect_ledger_exact(h.server.report());
 }
 
-TEST(NetServer, LegacyMinorZeroClientInteroperates) {
-  // A v1.0 peer sends the short hello and expects byte-identical v1.0
-  // frames back: short ack, responses without the shed-origin byte. Drive
-  // the handshake with raw sockets so the modern Client's own negotiation
-  // cannot mask a server-side regression.
+TEST(NetServer, PreviousVersionHelloIsNakedAndClosed) {
+  // The exact hello a version-1 client sends: length 9 | type | magic |
+  // version 1 | a trailing u16 of 2. The server must answer a definite
+  // HelloAck(ok=false) and close, never fail later in the stream.
   Harness h;
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(h.server.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-
-  std::vector<std::uint8_t> out;
-  HelloFrame hello;
-  hello.minor = 0;  // the legacy short form
-  encode_hello(out, hello);
-  RequestFrame request;
-  request.request_id = 77;
-  encode_request(out, request);
-  ASSERT_EQ(::send(fd, out.data(), out.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(out.size()));
+  const int fd = raw_connect(h.server.port());
+  const std::uint8_t hello[13] = {9,    0,    0,    0,  // length
+                                  1,                    // kHello
+                                  0x31, 0x4e, 0x50, 0x41,  // "APN1"
+                                  1,    0,              // version 1
+                                  2,    0};
+  ASSERT_EQ(::send(fd, hello, sizeof hello, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof hello));
 
   FrameDecoder decoder;
   std::optional<HelloAckFrame> ack;
-  std::optional<ResponseFrame> response;
-  std::size_t response_body_size = 0;
+  bool closed = false;
   const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while ((!ack || !response) && std::chrono::steady_clock::now() < deadline) {
-    std::uint8_t buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) break;
-    decoder.feed(buf, static_cast<std::size_t>(n));
-    while (auto frame = decoder.next()) {
-      if (frame->type == FrameType::kHelloAck) {
+  while (!closed && std::chrono::steady_clock::now() < deadline) {
+    std::uint8_t buf[256];
+    const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+    if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
+      closed = true;
+    } else if (n < 0) {
+      std::this_thread::sleep_for(5ms);
+    } else {
+      decoder.feed(buf, static_cast<std::size_t>(n));
+      while (auto frame = decoder.next()) {
+        ASSERT_EQ(frame->type, FrameType::kHelloAck);
         ack = parse_hello_ack(frame->body);
-        EXPECT_EQ(frame->body.size(), 7u) << "legacy peers need the short ack";
-      } else if (frame->type == FrameType::kResponse) {
-        response_body_size = frame->body.size();
-        response = parse_response(frame->body);
       }
     }
   }
   ::close(fd);
   ASSERT_TRUE(ack.has_value());
-  EXPECT_TRUE(ack->ok);
-  EXPECT_EQ(ack->minor, 0u);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->request_id, 77u);
-  EXPECT_EQ(response->status, Status::kOk);
-  // v1.0 response layout: fixed fields + empty payload, no origin byte.
-  EXPECT_EQ(response_body_size, 8u + 1u + 8u + 8u + 4u);
-
+  EXPECT_FALSE(ack->ok);
+  EXPECT_TRUE(closed);
   h.server.shutdown();
-  expect_ledger_exact(h.server.report());
+  const auto report = h.server.report();
+  EXPECT_GE(report.protocol_errors, 1u);
+  EXPECT_EQ(report.requests_decoded, 0u);
+  expect_ledger_exact(report);
 }
 
 TEST(NetServer, StatsRequestServesEngineKpis) {
   Harness h;
   auto client = h.connect();
-  ASSERT_EQ(client.wire_minor(), kWireMinor);
   ASSERT_TRUE(client.call(/*handler_id=*/0, /*tenant_id=*/5).has_value());
   ASSERT_TRUE(client.send_stats_request());
   const auto stats = client.poll_stats(5.0);

@@ -67,6 +67,19 @@ RouterConfig fast_config() {
   return cfg;
 }
 
+/// Waits up to ~5s for every shard link to connect. The router dials its
+/// shards asynchronously; a request sent before its link is up is shed at
+/// the router, which a test expecting kOk would misread as a failure.
+bool wait_links_up(Router& router) {
+  for (int i = 0; i < 250; ++i) {
+    bool all_up = true;
+    for (const auto& [id, up] : router.shard_health()) all_up = all_up && up;
+    if (all_up) return true;
+    std::this_thread::sleep_for(20ms);
+  }
+  return false;
+}
+
 /// First tenant id the ring places on `shard` (the router's own hashing).
 std::uint16_t tenant_on(std::uint32_t shard, std::uint32_t shard_count) {
   HashRing ring;
@@ -91,6 +104,7 @@ TEST(RouterProxy, RoundTripsPinTenantsToTheirRingShard) {
   Shard shard0;
   Shard shard1;
   Router router({shard0.address(0), shard1.address(1)}, fast_config());
+  ASSERT_TRUE(wait_links_up(router));
   const std::uint16_t tenant_a = tenant_on(0, 2);
   const std::uint16_t tenant_b = tenant_on(1, 2);
 
@@ -160,6 +174,7 @@ TEST(RouterProxy, UnreachableBackendShedsWithRouterOrigin) {
 TEST(RouterProxy, ShardDeathSynthesizesRouterOriginSheds) {
   Shard shard0;
   Router router({shard0.address(0)}, fast_config());
+  ASSERT_TRUE(wait_links_up(router));
   auto client = net::Client::connect("127.0.0.1", router.port());
   const auto warm = client.call(/*handler_id=*/0, /*tenant_id=*/3);
   ASSERT_TRUE(warm.has_value());
@@ -195,6 +210,7 @@ TEST(RouterProxy, MigrationUnderLoadDropsNothing) {
   Shard shard0(slow);
   Shard shard1(slow);
   Router router({shard0.address(0), shard1.address(1)}, fast_config());
+  ASSERT_TRUE(wait_links_up(router));
   const std::uint16_t tenant = tenant_on(0, 2);
   ASSERT_EQ(router.shard_of(tenant), 0u);
 
@@ -244,6 +260,7 @@ TEST(RouterProxy, StatsRequestAggregatesShardKpis) {
   Shard shard0;
   Shard shard1;
   Router router({shard0.address(0), shard1.address(1)}, fast_config());
+  ASSERT_TRUE(wait_links_up(router));
   const std::uint16_t tenant_a = tenant_on(0, 2);
   const std::uint16_t tenant_b = tenant_on(1, 2);
 
@@ -298,6 +315,7 @@ TEST(RouterProxy, ForwardFailpointShedsLocally) {
   }
   Shard shard0;
   Router router({shard0.address(0)}, fast_config());
+  ASSERT_TRUE(wait_links_up(router));
   auto client = net::Client::connect("127.0.0.1", router.port());
 
   util::FailpointRegistry::instance().arm_from_string(

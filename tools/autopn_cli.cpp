@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,6 +77,53 @@ int usage() {
                "        (also read from the AUTOPN_FAILPOINTS environment variable;\n"
                "        no-op unless the build compiles failpoints in)\n";
   return 2;
+}
+
+/// A malformed command-line value: main() prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// A TCP port from text; anything but a whole number in 0..65535 is a
+/// UsageError naming `what` (a bare stoul cast would wrap 70000 to 4464).
+std::uint16_t parse_port(const std::string& text, const std::string& what) {
+  std::size_t used = 0;
+  unsigned long value = 0;
+  try {
+    value = std::stoul(text, &used);
+  } catch (const std::logic_error&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size() || value > 65535) {
+    throw UsageError{what + " wants a port in 0..65535 (got '" + text + "')"};
+  }
+  return static_cast<std::uint16_t>(value);
+}
+
+struct HostPort {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Splits `flag`'s HOST:PORT value at its last colon.
+HostPort split_host_port(const std::string& spec, const std::string& flag) {
+  const auto sep = spec.rfind(':');
+  if (sep == std::string::npos) {
+    throw UsageError{flag + " wants HOST:PORT (got '" + spec + "')"};
+  }
+  return HostPort{spec.substr(0, sep), parse_port(spec.substr(sep + 1), flag)};
+}
+
+/// The port a `serve`/`router` process wrote to its --port-file. An
+/// unreadable file is a runtime error (exit 1); an out-of-range number is a
+/// UsageError.
+std::uint16_t read_port_file(const std::string& path) {
+  std::ifstream in{path};
+  std::string text;
+  if (!(in >> text)) {
+    throw std::runtime_error{"cannot read port from " + path};
+  }
+  return parse_port(text, "port file " + path);
 }
 
 struct Options {
@@ -170,7 +218,7 @@ Options parse_options(const std::vector<std::string>& args, std::size_t start) {
     } else if (args[i] == "--host") {
       opts.host = args[i + 1];
     } else if (args[i] == "--port") {
-      opts.port = static_cast<std::uint16_t>(std::stoul(args[i + 1]));
+      opts.port = parse_port(args[i + 1], "--port");
     } else if (args[i] == "--connections") {
       opts.connections = std::stoul(args[i + 1]);
     } else if (args[i] == "--think") {
@@ -459,14 +507,10 @@ std::string sim_preset_for(const std::string& serve_workload) {
 /// engine, the AutoPN controller tuning live, traffic arriving over TCP
 /// (drive it with `autopn netload`).
 int cmd_serve_net(const Options& opts) {
-  const auto colon = opts.listen.rfind(':');
-  if (colon == std::string::npos) {
-    std::cerr << "--listen wants ADDR:PORT (got '" << opts.listen << "')\n";
-    return 2;
-  }
+  const HostPort listen = split_host_port(opts.listen, "--listen");
   net::NetServerConfig net_cfg;
-  net_cfg.bind_address = opts.listen.substr(0, colon);
-  net_cfg.port = static_cast<std::uint16_t>(std::stoul(opts.listen.substr(colon + 1)));
+  net_cfg.bind_address = listen.host;
+  net_cfg.port = listen.port;
 
   const int cores = opts.cores_given ? opts.cores : 8;
   stm::StmConfig stm_cfg;
@@ -565,33 +609,18 @@ int cmd_router(const Options& opts) {
     std::cerr << "router needs --listen ADDR:PORT\n";
     return 2;
   }
-  const auto colon = opts.listen.rfind(':');
-  if (colon == std::string::npos) {
-    std::cerr << "--listen wants ADDR:PORT (got '" << opts.listen << "')\n";
-    return 2;
-  }
+  const HostPort listen = split_host_port(opts.listen, "--listen");
 
   std::vector<router::ShardAddress> shards;
   std::uint32_t next_id = 0;
   for (const std::string& spec : opts.shards) {
-    const auto sep = spec.rfind(':');
-    if (sep == std::string::npos) {
-      std::cerr << "--shard wants HOST:PORT (got '" << spec << "')\n";
-      return 2;
-    }
-    shards.push_back(router::ShardAddress{
-        next_id++, spec.substr(0, sep),
-        static_cast<std::uint16_t>(std::stoul(spec.substr(sep + 1)))});
+    HostPort shard = split_host_port(spec, "--shard");
+    shards.push_back(
+        router::ShardAddress{next_id++, std::move(shard.host), shard.port});
   }
   for (const std::string& file : opts.shard_port_files) {
-    std::ifstream in{file};
-    unsigned port = 0;
-    if (!(in >> port)) {
-      std::cerr << "cannot read shard port from " << file << "\n";
-      return 1;
-    }
-    shards.push_back(router::ShardAddress{
-        next_id++, "127.0.0.1", static_cast<std::uint16_t>(port)});
+    shards.push_back(
+        router::ShardAddress{next_id++, "127.0.0.1", read_port_file(file)});
   }
   if (shards.empty()) {
     std::cerr << "router needs at least one --shard or --shard-port-file\n";
@@ -599,9 +628,8 @@ int cmd_router(const Options& opts) {
   }
 
   router::RouterConfig cfg;
-  cfg.server.bind_address = opts.listen.substr(0, colon);
-  cfg.server.port =
-      static_cast<std::uint16_t>(std::stoul(opts.listen.substr(colon + 1)));
+  cfg.server.bind_address = listen.host;
+  cfg.server.port = listen.port;
   cfg.rebalance.slo_p99_us = static_cast<std::uint64_t>(opts.slo_ms * 1e3);
   cfg.rebalance_seconds = opts.rebalance_interval;
   cfg.rebalance_enabled = !opts.no_rebalance;
@@ -703,20 +731,13 @@ int cmd_router(const Options& opts) {
   return router_ledger_exact && wire_ledger_exact ? 0 : 1;
 }
 
-/// router-ctl: membership control client. Speaks the v1.2 Membership frame
+/// router-ctl: membership control client. Speaks the Membership frame
 /// pair at a running router — admit a shard, retire one, or read the
-/// member table, membership log, and scale recommendation.
+/// member table, membership log, and scale recommendation. A plain shard
+/// answers ok=false ("not supported").
 int cmd_router_ctl(const std::string& action, const Options& opts) {
-  std::uint16_t port = opts.port;
-  if (!opts.port_file.empty()) {
-    std::ifstream in{opts.port_file};
-    unsigned p = 0;
-    if (!(in >> p)) {
-      std::cerr << "cannot read router port from " << opts.port_file << "\n";
-      return 1;
-    }
-    port = static_cast<std::uint16_t>(p);
-  }
+  const std::uint16_t port =
+      opts.port_file.empty() ? opts.port : read_port_file(opts.port_file);
   if (port == 0) {
     std::cerr << "router-ctl needs --port or --port-file\n";
     return 2;
@@ -731,25 +752,12 @@ int cmd_router_ctl(const std::string& action, const Options& opts) {
     }
     request.shard_id = opts.shard_id;
     if (!opts.shards.empty()) {
-      const std::string& spec = opts.shards.front();
-      const auto sep = spec.rfind(':');
-      if (sep == std::string::npos) {
-        std::cerr << "--shard wants HOST:PORT (got '" << spec << "')\n";
-        return 2;
-      }
-      request.host = spec.substr(0, sep);
-      request.port =
-          static_cast<std::uint16_t>(std::stoul(spec.substr(sep + 1)));
+      HostPort shard = split_host_port(opts.shards.front(), "--shard");
+      request.host = std::move(shard.host);
+      request.port = shard.port;
     } else if (!opts.shard_port_files.empty()) {
-      std::ifstream in{opts.shard_port_files.front()};
-      unsigned p = 0;
-      if (!(in >> p)) {
-        std::cerr << "cannot read shard port from "
-                  << opts.shard_port_files.front() << "\n";
-        return 1;
-      }
       request.host = "127.0.0.1";
-      request.port = static_cast<std::uint16_t>(p);
+      request.port = read_port_file(opts.shard_port_files.front());
     } else {
       std::cerr << "router-ctl add needs --shard HOST:PORT or "
                    "--shard-port-file F\n";
@@ -771,11 +779,6 @@ int cmd_router_ctl(const std::string& action, const Options& opts) {
   }
 
   auto client = net::Client::connect(opts.host, port, 2.0);
-  if (client.wire_minor() < 2) {
-    std::cerr << "peer negotiated wire minor " << client.wire_minor()
-              << " (< 2): no membership support\n";
-    return 1;
-  }
   if (!client.send_membership(request)) {
     std::cerr << "failed to send membership request\n";
     return 1;
@@ -820,16 +823,8 @@ int cmd_router_ctl(const std::string& action, const Options& opts) {
 int cmd_netload(const Options& opts) {
   net::NetLoadParams params;
   params.host = opts.host;
-  params.port = opts.port;
-  if (!opts.port_file.empty()) {
-    std::ifstream in{opts.port_file};
-    unsigned port = 0;
-    if (!(in >> port)) {
-      std::cerr << "cannot read port from " << opts.port_file << "\n";
-      return 1;
-    }
-    params.port = static_cast<std::uint16_t>(port);
-  }
+  params.port =
+      opts.port_file.empty() ? opts.port : read_port_file(opts.port_file);
   if (params.port == 0) {
     std::cerr << "netload needs --port or --port-file\n";
     return 2;
@@ -1081,6 +1076,9 @@ int main(int argc, char** argv) {
       return cmd_serve(parse_options(args, 1));
     }
     return usage();
+  } catch (const UsageError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
