@@ -2,6 +2,7 @@
 // read-your-writes, snapshot isolation, commit/abort, statistics.
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -271,6 +272,30 @@ TEST(StmBasic, SiblingAbortsAttributedToSiblingCounter) {
   EXPECT_EQ(stats.aborts_validation, 0u);
 }
 
+// Forces one validation conflict on `box` rather than hoping the scheduler
+// overlaps racing threads: the first attempt of a transaction reads `box`,
+// then waits until another transaction has committed a write to it, so its
+// own commit fails validation on `box` and the retry succeeds.
+void force_conflict(Stm& stm, VBox<int>& box) {
+  std::latch read_done{1};
+  std::latch write_committed{1};
+  std::jthread writer([&] {
+    read_done.wait();
+    stm.run_top([&](Tx& tx) { box.write(tx, box.read(tx) + 1); });
+    write_committed.count_down();
+  });
+  bool first_attempt = true;
+  stm.run_top([&](Tx& tx) {
+    const int v = box.read(tx);
+    if (first_attempt) {
+      first_attempt = false;
+      read_done.count_down();
+      write_committed.wait();
+    }
+    box.write(tx, v + 1);
+  });
+}
+
 TEST(StmBasic, ContentionProfilerNamesHotBox) {
   StmConfig cfg = small_config();
   cfg.initial_top = 4;
@@ -280,19 +305,8 @@ TEST(StmBasic, ContentionProfilerNamesHotBox) {
   VBox<int> cold{0};
   stm.set_contention_profiling(true);
 
-  std::vector<std::jthread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        stm.run_top([&](Tx& tx) {
-          const int v = hot.read(tx);
-          std::this_thread::yield();
-          hot.write(tx, v + 1);
-        });
-      }
-    });
-  }
-  threads.clear();
+  force_conflict(stm, hot);
+  EXPECT_EQ(hot.peek(), 2);
   ASSERT_GT(stm.stats().aborts_validation, 0u);
   const auto hotspots = stm.contention_hotspots(3);
   ASSERT_FALSE(hotspots.empty());
@@ -326,19 +340,7 @@ TEST(StmBasic, UnlabeledHotspotRendersPointer) {
   Stm stm{cfg};
   VBox<int> hot{0};
   stm.set_contention_profiling(true);
-  std::vector<std::jthread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        stm.run_top([&](Tx& tx) {
-          const int v = hot.read(tx);
-          std::this_thread::yield();
-          hot.write(tx, v + 1);
-        });
-      }
-    });
-  }
-  threads.clear();
+  force_conflict(stm, hot);
   const auto hotspots = stm.contention_hotspots();
   ASSERT_FALSE(hotspots.empty());
   EXPECT_EQ(hotspots[0].label.rfind("box@", 0), 0u);
