@@ -138,18 +138,6 @@ std::string random_schedule(util::Rng& rng, bool net, bool router = false) {
   }
   if (coin()) {
     std::ostringstream s;
-    s << "stm.commit.validate_pred=error(p=" << rng.uniform(0.05, 0.4) << ")";
-    add(s.str());
-  }
-  if (coin()) {
-    // Stall between reading the install base and applying a datatype delta:
-    // stretches the commit mutex's hold time.
-    std::ostringstream s;
-    s << "stm.map.install=delay(d=" << rng.uniform_int(20, 200) << "us,p=0.3)";
-    add(s.str());
-  }
-  if (coin()) {
-    std::ostringstream s;
     s << "serve.worker.fail=error(p=" << rng.uniform(0.02, 0.2) << ")";
     add(s.str());
   }

@@ -47,7 +47,7 @@ cmake --build build-tsan --target \
   stm_basic_test stm_nesting_test stm_concurrency_test stm_containers_test \
   stm_property_test stm_commit_strategy_test stm_snapshot_registry_test \
   stm_commit_manager_test stm_stats_test \
-  stm_semantic_test stm_linearizability_test \
+  stm_conflict_unit_test stm_linearizability_test \
   serve_queue_test serve_engine_test serve_e2e_test \
   util_concurrency_test runtime_controller_test \
   util_failpoint_test chaos_stm_test chaos_serve_test chaos_runtime_test \
@@ -67,19 +67,19 @@ done
 
 # The net and router tests exercise real sockets and cross-thread completion
 # posting: run them under ASan+UBSan combined as well (the TSan pass above
-# already covers them for races). The semantic-container checkers join this
-# pass because commit-time delta install and predicate revalidation shuffle
-# shared_ptr ownership across threads — exactly ASan territory.
+# already covers them for races). The container conflict checkers join this
+# pass because commits hand copy-on-write buckets and cursors, and their
+# shared_ptr ownership, across threads — exactly ASan territory.
 cmake --preset asan-ubsan
 cmake --build build-asan-ubsan --target \
   net_wire_test net_loop_test net_server_test net_chaos_test \
   net_client_retry_test router_proxy_test router_membership_test \
-  stm_semantic_test stm_linearizability_test \
+  stm_conflict_unit_test stm_linearizability_test \
   model_queue_test model_compose_test model_vs_des_test
 for t in build-asan-ubsan/tests/net_*_test \
          build-asan-ubsan/tests/router_proxy_test \
          build-asan-ubsan/tests/router_membership_test \
-         build-asan-ubsan/tests/stm_semantic_test \
+         build-asan-ubsan/tests/stm_conflict_unit_test \
          build-asan-ubsan/tests/stm_linearizability_test \
          build-asan-ubsan/tests/model_*_test; do
   echo "== asan-ubsan: $(basename "$t") =="
@@ -111,13 +111,6 @@ build-tsan/bench/chaos_soak --router --seconds 3 --seed 6
 # bench's own tables; any fit regression shows up as rank-correlation drift.
 echo "== des_vs_analytical --smoke =="
 build/bench/des_vs_analytical --smoke
-
-# Container-policy smoke: the semantic-vs-box sweep at reduced size, under
-# ASan+UBSan so the delta/predicate fast paths get sanitizer coverage on
-# every run (the full-size sweep runs unsanitized in the results loop below).
-cmake --build build-asan-ubsan --target container_sweep
-echo "== asan-ubsan: container_sweep --smoke =="
-build-asan-ubsan/bench/container_sweep --smoke
 
 # Loopback smoke: a real two-process serve/netload run over TCP. The server
 # exits nonzero if the wire response ledger is inexact or the workload's

@@ -4,56 +4,29 @@
 // TMap backs Vacation's reservation tables and TPC-C's relations, TQueue the
 // producer/consumer hotspots.
 //
-// TMap and TQueue implement both conflict-unit policies of
-// stm/predicate.hpp, selectable per instance:
-//
-//  * kBoxGranularity — the conservative baseline: whole-bucket copy-on-write
-//    for TMap, exact cursor reads for TQueue. Every access is an exact read
-//    of the enclosing box, so two inserts of *different* keys sharing a
-//    bucket (or a push and a pop on a mid-full queue) abort each other.
-//  * kSemantic — datatype-aware tracking (the STO idiom): TMap keeps a
-//    per-entry version ("ever"), logs insert/erase/update ops into a delta
-//    applied to the newest committed bucket at install time, and registers
-//    key-absent / key-version predicates instead of bucket reads; TQueue
-//    guards push's fullness check and pop's emptiness check with monotone
-//    cursor-bound predicates instead of exact cursor reads. Disjoint-key
-//    operations in one bucket, and disjoint push/pop on a mid-full queue,
-//    never conflict.
-//
-// bench/container_sweep measures the two policies against each other;
-// DESIGN.md "Semantic validation" specifies the predicate grammar and the
-// merge/commit rules the deltas and predicates obey.
+// The conflict unit is the versioned box, as in JVSTM: a TMap bucket is one
+// copy-on-write box and TQueue's head and tail cursors are one box each, so
+// two transactions conflict when one writes a box the other read — even when
+// they touch different keys of one bucket, or opposite ends of a mid-full
+// queue. DESIGN.md §12 records why a finer-grained alternative was measured
+// and deleted.
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "stm/predicate.hpp"
 #include "stm/tx.hpp"
 
 namespace autopn::stm {
 
 namespace detail {
-
-/// Sub-box id of a key for per-key contention attribution: the key itself
-/// for integral keys (readable in hotspot labels), its hash otherwise.
-template <typename Key, typename Hash>
-[[nodiscard]] std::uint64_t sub_key_of(const Key& key) noexcept {
-  if constexpr (std::is_integral_v<Key>) {
-    return static_cast<std::uint64_t>(key);
-  } else {
-    return static_cast<std::uint64_t>(Hash{}(key));
-  }
-}
 
 /// "name" or, when no name was given, a pointer-derived fallback so labels
 /// of unnamed containers stay distinguishable in hotspot reports.
@@ -106,156 +79,22 @@ class TArray {
 };
 
 /// Transactional hash map with a fixed bucket array. Each bucket is a VBox
-/// holding an immutable vector of entries; the conflict unit depends on the
-/// policy (see file comment). Sized so the expected bucket population stays
-/// small, this matches the red-black-tree tables of the original STAMP
-/// Vacation port in access behaviour while remaining simple to reason about.
+/// holding an immutable vector of entries, replaced whole on every write.
+/// Sized so the expected bucket population stays small, this matches the
+/// red-black-tree tables of the original STAMP Vacation port in access
+/// behaviour while remaining simple to reason about.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class TMap {
  public:
-  /// One committed (or tentatively materialized) map entry. `ever` is the
-  /// entry version: the installing commit's clock version, or
-  /// kTentativeEver | merge-stamp for not-yet-committed materializations.
   struct Entry {
     Key key;
     Value value;
-    std::uint64_t ever = 0;
   };
   using Bucket = std::vector<Entry>;
 
-  /// The op log of one transaction against one bucket: blind upserts and
-  /// erases, applied to the newest committed bucket at install time. An op
-  /// on a key fully determines that key's subsequent state, which is what
-  /// makes disjoint-key logs commute.
-  class Delta final : public DeltaBase {
-   public:
-    struct Op {
-      bool erase = false;
-      Key key;
-      std::optional<Value> value;  ///< engaged for upserts
-      std::uint64_t stamp = 0;     ///< owning level's merge stamp
-    };
-
-    void add_upsert(Key key, Value value) {
-      ops_.push_back(Op{false, std::move(key), std::move(value), 0});
-    }
-    void add_erase(Key key) {
-      ops_.push_back(Op{true, std::move(key), std::nullopt, 0});
-    }
-
-    [[nodiscard]] std::shared_ptr<const void> apply(
-        const void* base, std::uint64_t commit_version) const override {
-      auto out = base != nullptr
-                     ? std::make_shared<Bucket>(*static_cast<const Bucket*>(base))
-                     : std::make_shared<Bucket>();
-      for (const Op& op : ops_) {
-        auto it = std::find_if(out->begin(), out->end(), [&](const Entry& e) {
-          return e.key == op.key;
-        });
-        if (op.erase) {
-          if (it != out->end()) out->erase(it);
-          continue;
-        }
-        const std::uint64_t ever =
-            commit_version != 0 ? commit_version : (kTentativeEver | op.stamp);
-        if (it != out->end()) {
-          it->value = *op.value;
-          it->ever = ever;
-        } else {
-          out->push_back(Entry{op.key, *op.value, ever});
-        }
-      }
-      return out;
-    }
-
-    [[nodiscard]] std::unique_ptr<DeltaBase> clone() const override {
-      return std::make_unique<Delta>(*this);
-    }
-
-    void absorb(const DeltaBase& other, std::uint64_t stamp) override {
-      const auto& delta = static_cast<const Delta&>(other);
-      ops_.reserve(ops_.size() + delta.ops_.size());
-      for (const Op& op : delta.ops_) {
-        ops_.push_back(op);
-        ops_.back().stamp = stamp;
-      }
-    }
-
-    void restamp(std::uint64_t stamp) override {
-      for (Op& op : ops_) op.stamp = stamp;
-    }
-
-    [[nodiscard]] std::size_t op_count() const noexcept override {
-      return ops_.size();
-    }
-
-    /// The op that decides `key`'s state in this log (latest wins), or
-    /// nullptr when the log does not touch the key.
-    [[nodiscard]] const Op* last_op_for(const Key& key) const noexcept {
-      for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
-        if (it->key == key) return &*it;
-      }
-      return nullptr;
-    }
-
-    /// Whether any op with stamp > `after_stamp` touches `key`.
-    [[nodiscard]] bool touches(const Key& key,
-                               std::uint64_t after_stamp) const noexcept {
-      for (const Op& op : ops_) {
-        if (op.stamp > after_stamp && op.key == key) return true;
-      }
-      return false;
-    }
-
-   private:
-    std::vector<Op> ops_;
-  };
-
-  /// "Key k is absent" (ever_ disengaged) or "key k is present at entry
-  /// version e" — the two predicate forms a map read registers in place of
-  /// an exact bucket read.
-  class KeyPredicate final : public PredicateBase {
-   public:
-    KeyPredicate(const VBoxBase& box, Key key, std::optional<std::uint64_t> ever)
-        : PredicateBase(box), key_(std::move(key)), ever_(ever) {}
-
-    [[nodiscard]] bool holds(const void* value) const noexcept override {
-      const auto& bucket = *static_cast<const Bucket*>(value);
-      for (const Entry& entry : bucket) {
-        if (entry.key == key_) {
-          return ever_.has_value() && entry.ever == *ever_;
-        }
-      }
-      return !ever_.has_value();
-    }
-
-    [[nodiscard]] bool overlaps(const DeltaBase& delta,
-                                std::uint64_t after_stamp) const noexcept override {
-      const auto* map_delta = dynamic_cast<const Delta*>(&delta);
-      if (map_delta == nullptr) return true;  // foreign type: conservative
-      return map_delta->touches(key_, after_stamp);
-    }
-
-    [[nodiscard]] bool same_as(const PredicateBase& other) const noexcept override {
-      const auto* pred = dynamic_cast<const KeyPredicate*>(&other);
-      return pred != nullptr && pred->key_ == key_ && pred->ever_ == ever_;
-    }
-
-    [[nodiscard]] std::uint64_t profile_key() const noexcept override {
-      return detail::sub_key_of<Key, Hash>(key_);
-    }
-
-   private:
-    Key key_;
-    std::optional<std::uint64_t> ever_;
-  };
-
   /// `name`, when given, labels every bucket ("name[i]") for the contention
-  /// profiler (Stm::contention_hotspots); per-key predicate conflicts are
-  /// further attributed as "name[i].key=<k>".
-  explicit TMap(std::size_t bucket_count, const std::string& name = {},
-                ContainerPolicy policy = ContainerPolicy::kSemantic)
-      : policy_(policy) {
+  /// profiler (Stm::contention_hotspots).
+  explicit TMap(std::size_t bucket_count, const std::string& name = {}) {
     if (bucket_count == 0) throw std::invalid_argument{"TMap needs >= 1 bucket"};
     buckets_.reserve(bucket_count);
     for (std::size_t i = 0; i < bucket_count; ++i) {
@@ -267,87 +106,44 @@ class TMap {
   }
 
   [[nodiscard]] std::size_t bucket_count() const noexcept { return buckets_.size(); }
-  [[nodiscard]] ContainerPolicy policy() const noexcept { return policy_; }
-
-  /// Looks a key up; std::nullopt when absent. Under kSemantic this
-  /// registers a key predicate (or nothing at all when this transaction's
-  /// own pending ops decide the key) instead of an exact bucket read.
+  /// Looks a key up; std::nullopt when absent.
   [[nodiscard]] std::optional<Value> get(Tx& tx, const Key& key) const {
-    const VBox<Bucket>& box = box_for(key);
-    if (policy_ == ContainerPolicy::kBoxGranularity) {
-      const auto bucket = tx.read_raw(box);
-      return copy_value(find_entry(*cast(bucket), key));
-    }
-    // Own pending ops decide first — and need no tracking at all: a
-    // self-determined fact cannot be invalidated.
-    if (const auto* own = static_cast<const Delta*>(tx.pending_delta(box))) {
-      if (const auto* op = own->last_op_for(key)) {
-        if (op->erase) return std::nullopt;
-        return *op->value;
-      }
-    }
-    const auto resolved = tx.read_semantic(box);
-    const Bucket& bucket = *cast(resolved);
-    const Entry* entry = find_entry(bucket, key);
-    if (!tx.has_pending_overwrite(box)) {
-      tx.add_predicate(box, std::make_shared<KeyPredicate>(
-                                box, key,
-                                entry != nullptr
-                                    ? std::optional<std::uint64_t>{entry->ever}
-                                    : std::nullopt));
-    }
-    return copy_value(entry);
+    const auto bucket = tx.read_raw(box_for(key));
+    return copy_value(find_entry(*cast(bucket), key));
   }
 
   [[nodiscard]] bool contains(Tx& tx, const Key& key) const {
     return get(tx, key).has_value();
   }
 
-  /// Inserts or overwrites. Under kSemantic this is a *blind upsert*: no
-  /// read, no predicate, just an op logged for commit-time install — two
-  /// puts of different keys never conflict, whatever bucket they share.
+  /// Inserts or overwrites.
   void put(Tx& tx, const Key& key, Value value) const {
     const VBox<Bucket>& box = box_for(key);
-    if (policy_ == ContainerPolicy::kBoxGranularity) {
-      const auto read = tx.read_raw(box);
-      Bucket bucket = *cast(read);
-      if (Entry* entry = find_entry(bucket, key)) {
-        entry->value = std::move(value);
-      } else {
-        bucket.push_back(Entry{key, std::move(value), 0});
-      }
-      tx.write_raw(box, std::make_shared<const Bucket>(std::move(bucket)));
-      return;
+    const auto read = tx.read_raw(box);
+    Bucket bucket = *cast(read);
+    if (Entry* entry = find_entry(bucket, key)) {
+      entry->value = std::move(value);
+    } else {
+      bucket.push_back(Entry{key, std::move(value)});
     }
-    auto delta = std::make_unique<Delta>();
-    delta->add_upsert(key, std::move(value));
-    tx.write_delta(box, std::move(delta));
+    tx.write_raw(box, std::make_shared<const Bucket>(std::move(bucket)));
   }
 
-  /// Removes a key; returns whether it was present. The presence check
-  /// registers a key predicate (semantic) or an exact bucket read (box).
+  /// Removes a key; returns whether it was present.
   bool erase(Tx& tx, const Key& key) const {
     const VBox<Bucket>& box = box_for(key);
-    if (policy_ == ContainerPolicy::kBoxGranularity) {
-      const auto read = tx.read_raw(box);
-      Bucket bucket = *cast(read);
-      auto it = std::find_if(bucket.begin(), bucket.end(),
-                             [&](const Entry& e) { return e.key == key; });
-      if (it == bucket.end()) return false;
-      bucket.erase(it);
-      tx.write_raw(box, std::make_shared<const Bucket>(std::move(bucket)));
-      return true;
-    }
-    if (!contains(tx, key)) return false;
-    auto delta = std::make_unique<Delta>();
-    delta->add_erase(key);
-    tx.write_delta(box, std::move(delta));
+    const auto read = tx.read_raw(box);
+    Bucket bucket = *cast(read);
+    auto it = std::find_if(bucket.begin(), bucket.end(),
+                           [&](const Entry& e) { return e.key == key; });
+    if (it == bucket.end()) return false;
+    bucket.erase(it);
+    tx.write_raw(box, std::make_shared<const Bucket>(std::move(bucket)));
     return true;
   }
 
   /// Applies `fn(key, value)` to every entry visible to the transaction
-  /// (scans every bucket; O(capacity)). A whole-map scan genuinely depends
-  /// on every bucket, so it records exact reads under either policy.
+  /// (scans every bucket; O(capacity)).
   void for_each(Tx& tx, const std::function<void(const Key&, const Value&)>& fn) const {
     for (const auto& box : buckets_) {
       const auto bucket = tx.read_raw(*box);
@@ -355,8 +151,7 @@ class TMap {
     }
   }
 
-  /// Number of entries visible to the transaction (O(capacity); exact reads
-  /// — the count depends on every bucket).
+  /// Number of entries visible to the transaction (O(capacity)).
   [[nodiscard]] std::size_t size(Tx& tx) const {
     std::size_t n = 0;
     for (const auto& box : buckets_) n += cast(tx.read_raw(*box))->size();
@@ -391,57 +186,17 @@ class TMap {
     return *buckets_[Hash{}(key) % buckets_.size()];
   }
 
-  ContainerPolicy policy_;
   std::vector<std::unique_ptr<VBox<Bucket>>> buckets_;
 };
 
-/// A monotone bound on a queue cursor: "cursor >= bound" (kAtLeast) or
-/// "cursor <= bound" (kAtMost). Cursors only grow, so kAtLeast predicates —
-/// push's "enough pops have happened that I fit" and pop's "a push has
-/// happened at my position" — can never be invalidated by more of the same
-/// traffic; kAtMost captures an observed empty/full verdict, which any
-/// opposite-end commit rightly invalidates.
-class CursorPredicate final : public PredicateBase {
- public:
-  enum class Kind { kAtLeast, kAtMost };
-
-  CursorPredicate(const VBoxBase& box, Kind kind, std::size_t bound)
-      : PredicateBase(box), kind_(kind), bound_(bound) {}
-
-  [[nodiscard]] bool holds(const void* value) const noexcept override {
-    const std::size_t cursor = *static_cast<const std::size_t*>(value);
-    return kind_ == Kind::kAtLeast ? cursor >= bound_ : cursor <= bound_;
-  }
-
-  [[nodiscard]] bool overlaps(const DeltaBase& /*delta*/,
-                              std::uint64_t /*after_stamp*/) const noexcept override {
-    return true;  // cursors take full-value writes; a delta here is foreign
-  }
-
-  [[nodiscard]] bool same_as(const PredicateBase& other) const noexcept override {
-    const auto* pred = dynamic_cast<const CursorPredicate*>(&other);
-    return pred != nullptr && pred->kind_ == kind_ && pred->bound_ == bound_;
-  }
-
- private:
-  Kind kind_;
-  std::size_t bound_;
-};
-
 /// Bounded transactional FIFO queue over a ring of VBox slots. Head and tail
-/// cursors are independent boxes. Under kBoxGranularity, push exactly reads
-/// both cursors, so every pop (which advances head) aborts every concurrent
-/// push even on a mid-full queue; under kSemantic the fullness/emptiness
-/// checks become monotone cursor-bound predicates and disjoint push/pop
-/// commit conflict-free. Two pushes (or two pops) still conflict on their
-/// shared cursor — the genuine queue hotspot.
+/// cursors are independent boxes; push and pop each read both, so any two
+/// concurrent queue operations conflict.
 template <typename T>
 class TQueue {
  public:
-  explicit TQueue(std::size_t capacity, const std::string& name = {},
-                  ContainerPolicy policy = ContainerPolicy::kSemantic)
+  explicit TQueue(std::size_t capacity, const std::string& name = {})
       : capacity_(capacity),
-        policy_(policy),
         slots_(std::max<std::size_t>(capacity, 1), T{},
                detail::label_prefix(name, this, "tqueue") + ".slot"),
         head_(0),
@@ -452,75 +207,25 @@ class TQueue {
     tail_.set_label(prefix + ".tail");
   }
 
-  /// Appends an element; returns false when the queue is full. The fullness
-  /// check against head is a semantic cursor-bound read under kSemantic.
+  /// Appends an element; returns false when the queue is full.
   bool push(Tx& tx, T value) const {
-    const std::size_t tail = tail_.read(tx);  // pushes serialize on tail
-    if (policy_ == ContainerPolicy::kBoxGranularity) {
-      const std::size_t head = head_.read(tx);
-      if (tail - head >= capacity_) return false;
-    } else {
-      const auto head_read = tx.read_semantic(head_);
-      const std::size_t head = *static_cast<const std::size_t*>(head_read.get());
-      const bool self = tx.has_pending_overwrite(head_);
-      if (tail - head >= capacity_) {
-        // Observed full: depends on head <= tail - capacity; any pop breaks
-        // it (and must — a pop makes room this push should have taken).
-        if (!self) {
-          tx.add_predicate(head_, std::make_shared<CursorPredicate>(
-                                      head_, CursorPredicate::Kind::kAtMost,
-                                      tail - capacity_));
-        }
-        return false;
-      }
-      // Observed room: head >= tail + 1 - capacity, monotone under pops —
-      // this is the predicate that makes pops stop aborting pushes.
-      // Trivially true for the first `capacity` pushes (bound would be 0).
-      if (!self && tail + 1 > capacity_) {
-        tx.add_predicate(head_, std::make_shared<CursorPredicate>(
-                                    head_, CursorPredicate::Kind::kAtLeast,
-                                    tail + 1 - capacity_));
-      }
-    }
+    const std::size_t tail = tail_.read(tx);
+    if (tail - head_.read(tx) >= capacity_) return false;
     slots_.write(tx, tail % capacity_, std::move(value));
     tail_.write(tx, tail + 1);
     return true;
   }
 
-  /// Removes the oldest element; std::nullopt when empty. The emptiness
-  /// check against tail is a semantic cursor-bound read under kSemantic.
+  /// Removes the oldest element; std::nullopt when empty.
   [[nodiscard]] std::optional<T> pop(Tx& tx) const {
-    const std::size_t head = head_.read(tx);  // pops serialize on head
-    if (policy_ == ContainerPolicy::kBoxGranularity) {
-      const std::size_t tail = tail_.read(tx);
-      if (head == tail) return std::nullopt;
-    } else {
-      const auto tail_read = tx.read_semantic(tail_);
-      const std::size_t tail = *static_cast<const std::size_t*>(tail_read.get());
-      const bool self = tx.has_pending_overwrite(tail_);
-      if (head == tail) {
-        // Observed empty: depends on tail <= head; any push breaks it.
-        if (!self) {
-          tx.add_predicate(tail_, std::make_shared<CursorPredicate>(
-                                      tail_, CursorPredicate::Kind::kAtMost, head));
-        }
-        return std::nullopt;
-      }
-      // Observed an element at head: tail >= head + 1, monotone under
-      // pushes — pushes stop aborting pops.
-      if (!self) {
-        tx.add_predicate(tail_, std::make_shared<CursorPredicate>(
-                                    tail_, CursorPredicate::Kind::kAtLeast,
-                                    head + 1));
-      }
-    }
+    const std::size_t head = head_.read(tx);
+    if (head == tail_.read(tx)) return std::nullopt;
     T value = slots_.read(tx, head % capacity_);
     head_.write(tx, head + 1);
     return value;
   }
 
-  /// Oldest element without removing it; std::nullopt when empty. Exact
-  /// reads: observing the element genuinely pins both cursors.
+  /// Oldest element without removing it; std::nullopt when empty.
   [[nodiscard]] std::optional<T> front(Tx& tx) const {
     const std::size_t head = head_.read(tx);
     if (head == tail_.read(tx)) return std::nullopt;
@@ -532,7 +237,6 @@ class TQueue {
   }
   [[nodiscard]] bool empty(Tx& tx) const { return size(tx) == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] ContainerPolicy policy() const noexcept { return policy_; }
 
   /// Committed element count outside any transaction (verification).
   [[nodiscard]] std::size_t peek_size() const {
@@ -541,7 +245,6 @@ class TQueue {
 
  private:
   std::size_t capacity_;
-  ContainerPolicy policy_;
   TArray<T> slots_;
   VBox<std::size_t> head_;
   VBox<std::size_t> tail_;

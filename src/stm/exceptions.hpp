@@ -14,7 +14,6 @@ enum class ConflictKind {
   kTopLevelValidation,  ///< top-level read set stale at global commit
   kSiblingWrite,        ///< a sibling committed a write this child had read
   kStaleReRead,         ///< re-read observed a changed ancestor entry
-  kPredicate,           ///< a semantic predicate no longer holds
   kExplicitRetry,       ///< user-requested retry
   kInjected,            ///< fault injected by an armed failpoint (chaos tests)
 };
@@ -30,7 +29,6 @@ class ConflictError final : public std::exception {
       case ConflictKind::kTopLevelValidation: return "top-level validation conflict";
       case ConflictKind::kSiblingWrite: return "sibling write conflict";
       case ConflictKind::kStaleReRead: return "stale re-read conflict";
-      case ConflictKind::kPredicate: return "semantic predicate conflict";
       case ConflictKind::kExplicitRetry: return "explicit retry";
       case ConflictKind::kInjected: return "injected fault";
     }

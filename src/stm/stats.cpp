@@ -20,7 +20,6 @@ StmStats::StmStats(std::size_t shards)
       writes_(shards),
       aborts_validation_(shards),
       aborts_sibling_(shards),
-      aborts_predicate_(shards),
       aborts_explicit_(shards),
       aborts_injected_(shards),
       top_escalations_(shards) {}
@@ -33,9 +32,6 @@ void StmStats::bump_conflict_kind(ConflictKind kind) noexcept {
     case ConflictKind::kSiblingWrite:
     case ConflictKind::kStaleReRead:
       aborts_sibling_.add();
-      break;
-    case ConflictKind::kPredicate:
-      aborts_predicate_.add();
       break;
     case ConflictKind::kExplicitRetry:
       aborts_explicit_.add();
@@ -56,7 +52,6 @@ StmStatsSnapshot StmStats::snapshot() const {
   snap.writes = writes_.load();
   snap.aborts_validation = aborts_validation_.load();
   snap.aborts_sibling = aborts_sibling_.load();
-  snap.aborts_predicate = aborts_predicate_.load();
   snap.aborts_explicit = aborts_explicit_.load();
   snap.aborts_injected = aborts_injected_.load();
   snap.top_escalations = top_escalations_.load();
@@ -72,7 +67,6 @@ void StmStats::reset() noexcept {
   writes_.reset();
   aborts_validation_.reset();
   aborts_sibling_.reset();
-  aborts_predicate_.reset();
   aborts_explicit_.reset();
   aborts_injected_.reset();
   top_escalations_.reset();
@@ -82,52 +76,35 @@ ContentionProfiler::ContentionProfiler(std::size_t capacity)
     : slots_(util::ceil_pow2(std::max<std::size_t>(2, capacity))),
       mask_(slots_.size() - 1) {}
 
-void ContentionProfiler::note(const VBoxBase* box, std::uint64_t sub_key) noexcept {
+void ContentionProfiler::note(const VBoxBase* box) noexcept {
   if (!enabled_.load(std::memory_order_relaxed)) return;
   // libstdc++'s pointer hash is the identity; fold the high bits down and
   // drop alignment zeros so heap neighbours don't all probe the same run.
-  // The sub-key is mixed in so per-key samples of one hot bucket spread out.
   const auto raw = reinterpret_cast<std::uintptr_t>(box);
-  std::size_t hash = static_cast<std::size_t>((raw >> 4) ^ (raw >> 20));
-  if (sub_key != kWholeBox) {
-    hash ^= static_cast<std::size_t>(sub_key * 0x9e3779b97f4a7c15ULL);
-  }
+  const auto hash = static_cast<std::size_t>((raw >> 4) ^ (raw >> 20));
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[(hash + i) & mask_];
     const VBoxBase* key = slot.key.load(std::memory_order_acquire);
-    if (key == nullptr) {
-      // Claim the empty slot; a losing racer just re-examines it.
-      if (slot.key.compare_exchange_strong(key, box,
-                                           std::memory_order_acq_rel)) {
-        slot.sub.store(sub_key, std::memory_order_relaxed);
-        slot.sub_ready.store(true, std::memory_order_release);
-        slot.count.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      if (key != box) continue;
+    // Claim the empty slot; a losing racer just re-examines it.
+    if (key == nullptr &&
+        slot.key.compare_exchange_strong(key, box, std::memory_order_acq_rel)) {
+      key = box;
     }
-    if (key == box && slot.sub_ready.load(std::memory_order_acquire) &&
-        slot.sub.load(std::memory_order_relaxed) == sub_key) {
+    if (key == box) {
       slot.count.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // Occupied by another unit (or same box mid-claim): probe on. A mid-
-    // claim miss can create a duplicate slot for this unit; hotspots()
-    // re-aggregates duplicates by label, so only a probe step is wasted.
   }
   dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<ContentionProfiler::Hotspot> ContentionProfiler::hotspots(
     std::size_t top_n) const {
-  // Aggregate by rendered label: duplicate slots for one (box, sub) unit
-  // (claim races) and distinct units sharing a label both fold together.
+  // Aggregate by rendered label: distinct boxes sharing a label fold together.
   std::unordered_map<std::string, std::uint64_t> by_label;
   for (const Slot& slot : slots_) {
     const VBoxBase* key = slot.key.load(std::memory_order_acquire);
-    if (key == nullptr || !slot.sub_ready.load(std::memory_order_acquire)) {
-      continue;
-    }
+    if (key == nullptr) continue;
     const std::uint64_t count = slot.count.load(std::memory_order_relaxed);
     if (count == 0) continue;
     std::string label;
@@ -138,11 +115,6 @@ std::vector<ContentionProfiler::Hotspot> ContentionProfiler::hotspots(
       std::snprintf(buffer, sizeof buffer, "box@%p",
                     static_cast<const void*>(key));
       label = buffer;
-    }
-    const std::uint64_t sub = slot.sub.load(std::memory_order_relaxed);
-    if (sub != kWholeBox) {
-      label += ".key=";
-      label += std::to_string(sub);
     }
     by_label[std::move(label)] += count;
   }
@@ -161,8 +133,6 @@ std::vector<ContentionProfiler::Hotspot> ContentionProfiler::hotspots(
 void ContentionProfiler::reset() noexcept {
   for (Slot& slot : slots_) {
     slot.count.store(0, std::memory_order_relaxed);
-    slot.sub_ready.store(false, std::memory_order_relaxed);
-    slot.sub.store(0, std::memory_order_relaxed);
     slot.key.store(nullptr, std::memory_order_release);
   }
   dropped_.store(0, std::memory_order_relaxed);

@@ -37,7 +37,9 @@ struct StmStatsSnapshot {
   // validation + sibling + explicit + injected).
   std::uint64_t aborts_validation = 0;  ///< top-level read-set validation
   std::uint64_t aborts_sibling = 0;     ///< child vs sibling merge conflicts
-  std::uint64_t aborts_predicate = 0;   ///< semantic predicate re-evaluation failed
+  /// Always 0: containers track whole boxes, so no conflict kind maps here.
+  /// Kept so readers of the abort breakdown built against it still compile.
+  std::uint64_t aborts_predicate = 0;
   std::uint64_t aborts_explicit = 0;    ///< user-requested retry()
   std::uint64_t aborts_injected = 0;    ///< failpoint-injected faults
   /// Top-level transactions that exhausted their retry budget and completed
@@ -88,7 +90,6 @@ class StmStats {
   util::ShardedCounter writes_;
   util::ShardedCounter aborts_validation_;
   util::ShardedCounter aborts_sibling_;
-  util::ShardedCounter aborts_predicate_;
   util::ShardedCounter aborts_explicit_;
   util::ShardedCounter aborts_injected_;
   util::ShardedCounter top_escalations_;
@@ -126,20 +127,12 @@ class ContentionProfiler {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Marks a sample that spans the whole box (no sub-key attribution).
-  static constexpr std::uint64_t kWholeBox = ~std::uint64_t{0};
-
   /// Records one validation conflict on `box`. No-op unless enabled.
-  /// `sub_key` attributes the sample to a unit *inside* the box — the map
-  /// key a failing predicate guarded, say — so semantic containers report
-  /// "table[3].key=42" hotspots instead of anonymous whole-bucket blame.
-  void note(const VBoxBase* box, std::uint64_t sub_key = kWholeBox) noexcept;
+  void note(const VBoxBase* box) noexcept;
 
-  /// The `top_n` most conflict-prone (box, sub-key) units observed since the
-  /// last reset (descending). Labels come from VBoxBase::set_label (with a
-  /// ".key=<sub>" suffix for sub-key samples), falling back to a pointer
-  /// rendering; counts landing in duplicate slots for one unit (a benign
-  /// claim race) are aggregated by label here.
+  /// The `top_n` most conflict-prone boxes observed since the last reset
+  /// (descending). Labels come from VBoxBase::set_label, falling back to a
+  /// pointer rendering; boxes sharing a label are aggregated into one entry.
   [[nodiscard]] std::vector<Hotspot> hotspots(std::size_t top_n = 10) const;
 
   void reset() noexcept;
@@ -152,14 +145,10 @@ class ContentionProfiler {
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
  private:
-  // Slot claim protocol: CAS `key` nullptr -> box, then publish `sub` with
-  // `sub_ready` (release). Probers treat a claimed-but-unpublished slot as
-  // non-matching and move on; the worst case is one duplicate slot for the
-  // same (box, sub) unit, which hotspots() re-aggregates by label.
+  // A slot is claimed by CAS-ing `key` from nullptr to the box and is never
+  // unclaimed while profiling runs, so each box owns exactly one slot.
   struct Slot {
     std::atomic<const VBoxBase*> key{nullptr};
-    std::atomic<std::uint64_t> sub{0};
-    std::atomic<bool> sub_ready{false};
     std::atomic<std::uint64_t> count{0};
   };
 

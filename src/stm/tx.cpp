@@ -1,6 +1,5 @@
 #include "stm/tx.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -9,17 +8,6 @@
 #include "util/failpoint.hpp"
 
 namespace autopn::stm {
-
-namespace {
-
-/// Finds the (owner, stamp) pair for `owner` in an owner list.
-template <typename Owners>
-auto find_owner(Owners& owners, const void* owner) {
-  return std::find_if(owners.begin(), owners.end(),
-                      [owner](const auto& pair) { return pair.first == owner; });
-}
-
-}  // namespace
 
 Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot, std::size_t child_limit)
     : stm_(&stm),
@@ -30,58 +18,17 @@ Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot, std::size_t child_limit)
       budget_(child_limit) {}
 
 Tx::ReadEntry Tx::resolve_above(VBoxBase* box) {
-  ReadEntry entry;
-  // Deltas found on the way down to a base value, nearest ancestor first.
-  // Cloned under the owning ancestor's mutex: the live object keeps growing
-  // as that ancestor's other children merge ops into it.
-  std::vector<std::unique_ptr<DeltaBase>> pending;
-  std::shared_ptr<const void> base;
-  bool have_base = false;
   for (Tx* anc = parent_; anc != nullptr; anc = anc->parent_) {
     std::scoped_lock lock{anc->merge_mutex_};
-    auto it = anc->writes_.find(box);
-    if (it == anc->writes_.end()) continue;
-    entry.owners.emplace_back(anc, it->second.stamp);
-    if (it->second.delta != nullptr) {
-      pending.push_back(it->second.delta->clone());
-      continue;  // a delta needs the base beneath it
+    if (auto it = anc->writes_.find(box); it != anc->writes_.end()) {
+      return ReadEntry{it->second.value, anc, it->second.stamp};
     }
-    base = it->second.value;
-    have_base = true;
-    break;
   }
-  if (!have_base) {
-    const Body* body = box->body_at(root_->snapshot_);
-    if (body == nullptr && pending.empty()) {
-      throw std::logic_error{"transactional read of an uninitialized VBox"};
-    }
-    if (body != nullptr) base = body->value.read();
-    entry.global_base = true;
+  const Body* body = box->body_at(root_->snapshot_);
+  if (body == nullptr) {
+    throw std::logic_error{"transactional read of an uninitialized VBox"};
   }
-  // Materialize outermost-first so ops apply in tree serialization order;
-  // commit_version 0 stamps touched entries as tentative (kTentativeEver).
-  for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-    base = (*it)->apply(base.get(), 0);
-  }
-  entry.anc_deltas.reserve(pending.size());
-  for (auto& delta : pending) {
-    entry.anc_deltas.emplace_back(std::move(delta));
-  }
-  entry.value = std::move(base);
-  return entry;
-}
-
-const Tx::ReadEntry& Tx::base_entry(
-    VBoxBase* box, std::unordered_map<VBoxBase*, ReadEntry>& cache) {
-  if (auto it = cache.find(box); it != cache.end()) return it->second;
-  // The sibling cache may already pin a resolution for this box; reuse it so
-  // exact and semantic reads within one attempt always agree (and an exact
-  // read silently promotes an earlier semantic resolution).
-  auto& other = (&cache == &reads_) ? sem_reads_ : reads_;
-  if (auto it = other.find(box); it != other.end()) {
-    return cache.emplace(box, it->second).first->second;
-  }
-  return cache.emplace(box, resolve_above(box)).first->second;
+  return ReadEntry{body->value.read(), nullptr, 0};
 }
 
 std::shared_ptr<const void> Tx::read_raw(const VBoxBase& cbox) {
@@ -89,29 +36,12 @@ std::shared_ptr<const void> Tx::read_raw(const VBoxBase& cbox) {
   stm_->counters().bump_read();
 
   // 1. own (tentative) writes win.
-  if (auto it = writes_.find(box); it != writes_.end()) {
-    if (it->second.delta == nullptr) return it->second.value;
-    // Delta-only entry: the result also depends on the base beneath it, so
-    // an exact read of the base is recorded.
-    const ReadEntry& base = base_entry(box, reads_);
-    return it->second.delta->apply(base.value.get(), 0);
-  }
+  if (auto it = writes_.find(box); it != writes_.end()) return it->second.value;
   // 2.–4. cached (repeatable within one attempt regardless of concurrent
   // sibling merges — the conflict surfaces at commit-time validation), else
-  // nearest-ancestor writes towards the root, else the global chain.
-  return base_entry(box, reads_).value;
-}
-
-std::shared_ptr<const void> Tx::read_semantic(const VBoxBase& cbox) {
-  auto* box = const_cast<VBoxBase*>(&cbox);
-  stm_->counters().bump_read();
-
-  if (auto it = writes_.find(box); it != writes_.end()) {
-    if (it->second.delta == nullptr) return it->second.value;
-    const ReadEntry& base = base_entry(box, sem_reads_);
-    return it->second.delta->apply(base.value.get(), 0);
-  }
-  return base_entry(box, sem_reads_).value;
+  // the nearest ancestor write towards the root, else the global chain.
+  if (auto it = reads_.find(box); it != reads_.end()) return it->second.value;
+  return reads_.emplace(box, resolve_above(box)).first->second.value;
 }
 
 void Tx::write_raw(const VBoxBase& cbox, std::shared_ptr<const void> value) {
@@ -120,80 +50,11 @@ void Tx::write_raw(const VBoxBase& cbox, std::shared_ptr<const void> value) {
   }
   auto* box = const_cast<VBoxBase*>(&cbox);
   stm_->counters().bump_write();
-  auto [it, inserted] = writes_.try_emplace(box, WriteEntry{nullptr, nullptr, next_stamp_});
+  auto [it, inserted] = writes_.try_emplace(box, WriteEntry{nullptr, next_stamp_});
   if (inserted) {
     ++next_stamp_;
   }
   it->second.value = std::move(value);
-  it->second.delta = nullptr;  // a full value subsumes any pending delta
-}
-
-void Tx::write_delta(const VBoxBase& cbox, std::unique_ptr<DeltaBase> delta) {
-  if (root_->read_only_) {
-    throw std::logic_error{"write inside a read-only transaction"};
-  }
-  auto* box = const_cast<VBoxBase*>(&cbox);
-  stm_->counters().bump_write();
-  auto it = writes_.find(box);
-  if (it == writes_.end()) {
-    const std::uint64_t stamp = next_stamp_++;
-    delta->restamp(stamp);
-    writes_.emplace(box, WriteEntry{nullptr, std::move(delta), stamp});
-    return;
-  }
-  if (it->second.value != nullptr) {
-    // Delta over our own full value: materialize immediately — the entry
-    // stays a full overwrite, which subsumes the op.
-    it->second.value = delta->apply(it->second.value.get(), 0);
-    return;
-  }
-  it->second.delta->absorb(*delta, it->second.stamp);
-}
-
-void Tx::add_predicate(const VBoxBase& cbox,
-                       std::shared_ptr<const PredicateBase> predicate) {
-  auto* box = const_cast<VBoxBase*>(&cbox);
-  // An exact read of the box subsumes any predicate over its value.
-  if (reads_.contains(box)) return;
-  auto it = sem_reads_.find(box);
-  if (it == sem_reads_.end()) {
-    throw std::logic_error{"add_predicate without a prior read_semantic"};
-  }
-  // Tree-local test: if any ancestor op the resolution applied may have
-  // determined this fact (map ops are blind upserts/erases, so an op on the
-  // guarded key *fully* determines its state), the fact is justified by the
-  // tree's own pending write — it must not be checked against committed
-  // state, where that write has not landed yet.
-  bool tree_local = false;
-  for (const auto& delta : it->second.anc_deltas) {
-    if (predicate->overlaps(*delta, 0)) {
-      tree_local = true;
-      break;
-    }
-  }
-  PredEntry entry{std::move(predicate), it->second.owners,
-                  tree_local ? false : it->second.global_base};
-  if (entry.owners.empty() && !entry.global_base) return;  // nothing to validate
-  for (const auto& existing : preds_) {
-    if (existing.pred->box() == box && existing.pred->same_as(*entry.pred) &&
-        existing.owners == entry.owners &&
-        existing.global_base == entry.global_base) {
-      return;
-    }
-  }
-  preds_.push_back(std::move(entry));
-}
-
-const DeltaBase* Tx::pending_delta(const VBoxBase& cbox) const {
-  auto* box = const_cast<VBoxBase*>(&cbox);
-  auto it = writes_.find(box);
-  return it != writes_.end() ? it->second.delta.get() : nullptr;
-}
-
-bool Tx::has_pending_overwrite(const VBoxBase& cbox) const {
-  auto* box = const_cast<VBoxBase*>(&cbox);
-  auto it = writes_.find(box);
-  return it != writes_.end() && it->second.value != nullptr;
 }
 
 void Tx::commit_into_parent() {
@@ -208,130 +69,51 @@ void Tx::commit_into_parent() {
 
   // ---- phase 1: validate (nothing mutated until everything passes) -----
   //
-  // Exact reads against sibling commits that merged into the parent since
-  // this child started:
-  //  * a level this child consumed a parent entry from must carry an
-  //    unchanged writer stamp;
-  //  * boxes resolved without the parent's involvement must not have
-  //    appeared in the parent's write set at all (had they been there at
-  //    read time, the ancestor walk would have found them first, so presence
-  //    now proves a sibling wrote after our read).
+  // Reads against sibling commits that merged into the parent since this
+  // child started:
+  //  * a read that consumed the parent's entry needs that entry's writer
+  //    stamp unchanged;
+  //  * a read resolved without the parent's involvement needs the box still
+  //    absent from the parent's write set (had it been there at read time,
+  //    the ancestor walk would have found it first, so presence now proves
+  //    a sibling wrote after our read);
+  //  * propagation collision: if the parent already tracks a read of the
+  //    same box that resolved elsewhere, the tree observed the box in two
+  //    distinct states — retry this child so it re-reads the current one.
   for (auto& [box, read_entry] : reads_) {
-    auto owner_it = find_owner(read_entry.owners, parent);
     auto write_it = parent->writes_.find(box);
-    if (owner_it != read_entry.owners.end()) {
+    if (read_entry.owner == parent) {
       if (write_it == parent->writes_.end() ||
-          write_it->second.stamp != owner_it->second) {
+          write_it->second.stamp != read_entry.stamp) {
         throw ConflictError{ConflictKind::kSiblingWrite};
       }
-    } else if (write_it != parent->writes_.end()) {
+      continue;
+    }
+    if (write_it != parent->writes_.end()) {
       throw ConflictError{ConflictKind::kSiblingWrite};
     }
-  }
-  // Propagation-collision pre-check: if the parent already tracks a read of
-  // the same box with *different* provenance, the tree observed the box in
-  // two distinct states — retry this child so it re-reads the current one
-  // (kStaleReRead). Checked before any mutation so the throw is clean.
-  for (auto& [box, read_entry] : reads_) {
-    OwnerList remaining = read_entry.owners;
-    if (auto owner_it = find_owner(remaining, parent); owner_it != remaining.end()) {
-      remaining.erase(owner_it);
-    }
-    if (remaining.empty() && !read_entry.global_base) continue;  // discharged
-    if (auto it = parent->reads_.find(box); it != parent->reads_.end()) {
-      if (it->second.owners != remaining ||
-          it->second.global_base != read_entry.global_base) {
-        throw ConflictError{ConflictKind::kStaleReRead};
-      }
-    }
-  }
-  // Predicates: re-evaluate semantically instead of comparing stamps. A
-  // changed parent entry only aborts when the change can affect the
-  // predicate's truth — ops on other keys (overlaps() == false) or a full
-  // value the predicate still holds() over sail through. This is the whole
-  // point of the refactor: sibling merges on shared boxes stop being
-  // conflicts unless they touch what this child actually depends on.
-  for (auto& pred_entry : preds_) {
-    auto* box = const_cast<VBoxBase*>(pred_entry.pred->box());
-    auto owner_it = find_owner(pred_entry.owners, parent);
-    auto write_it = parent->writes_.find(box);
-    if (owner_it != pred_entry.owners.end()) {
-      if (write_it == parent->writes_.end()) {
-        throw ConflictError{ConflictKind::kPredicate};  // entry vanished
-      }
-      if (write_it->second.stamp != owner_it->second) {
-        const WriteEntry& we = write_it->second;
-        const bool still_valid =
-            we.delta != nullptr
-                ? !pred_entry.pred->overlaps(*we.delta, owner_it->second)
-                : pred_entry.pred->holds(we.value.get());
-        if (!still_valid) throw ConflictError{ConflictKind::kPredicate};
-      }
-    } else if (write_it != parent->writes_.end()) {
-      // Entry appeared after our read: every op in it postdates us.
-      const WriteEntry& we = write_it->second;
-      const bool still_valid = we.delta != nullptr
-                                   ? !pred_entry.pred->overlaps(*we.delta, 0)
-                                   : pred_entry.pred->holds(we.value.get());
-      if (!still_valid) throw ConflictError{ConflictKind::kPredicate};
+    if (auto it = parent->reads_.find(box); it != parent->reads_.end() &&
+        (it->second.owner != read_entry.owner ||
+         it->second.stamp != read_entry.stamp)) {
+      throw ConflictError{ConflictKind::kStaleReRead};
     }
   }
 
   // ---- phase 2: merge (this is the serialization point of the child
   // among its siblings) ---------------------------------------------------
   for (auto& [box, write_entry] : writes_) {
-    const std::uint64_t stamp = parent->next_stamp_++;
-    auto it = parent->writes_.find(box);
-    if (write_entry.delta != nullptr) {
-      if (it == parent->writes_.end()) {
-        write_entry.delta->restamp(stamp);
-        parent->writes_.emplace(
-            box, WriteEntry{nullptr, std::move(write_entry.delta), stamp});
-      } else if (it->second.delta != nullptr) {
-        it->second.delta->absorb(*write_entry.delta, stamp);
-        it->second.stamp = stamp;
-      } else {
-        // Delta over a sibling's full value: materialize now (still
-        // tentative); the entry stays a full overwrite.
-        write_entry.delta->restamp(stamp);
-        it->second.value = write_entry.delta->apply(it->second.value.get(), 0);
-        it->second.stamp = stamp;
-      }
-    } else {
-      auto& slot = parent->writes_[box];
-      slot.value = std::move(write_entry.value);
-      slot.delta = nullptr;  // a full value subsumes any pending delta
-      slot.stamp = stamp;
-    }
+    parent->writes_[box] =
+        WriteEntry{std::move(write_entry.value), parent->next_stamp_++};
   }
-  // Propagate reads/predicates not fully anchored at the parent upwards;
-  // they are validated when the parent itself commits one level up
-  // (compositional validation). Entries whose only dependency was the
-  // parent's own tentative write are discharged here: the stamp/overlap
-  // check above was their last obligation — later siblings serialize after
-  // this child, and the parent itself resumes only after all children join.
+  // Propagate reads resolved above the parent upwards; they are validated
+  // when the parent itself commits one level up (compositional validation).
+  // Reads of the parent's own tentative writes are discharged here: the
+  // stamp check above was their last obligation — later siblings serialize
+  // after this child, and the parent itself resumes only after all children
+  // join.
   for (auto& [box, read_entry] : reads_) {
-    if (auto owner_it = find_owner(read_entry.owners, parent);
-        owner_it != read_entry.owners.end()) {
-      read_entry.owners.erase(owner_it);
-    }
-    if (read_entry.owners.empty() && !read_entry.global_base) continue;
+    if (read_entry.owner == parent) continue;
     parent->reads_.emplace(box, std::move(read_entry));
-  }
-  for (auto& pred_entry : preds_) {
-    if (auto owner_it = find_owner(pred_entry.owners, parent);
-        owner_it != pred_entry.owners.end()) {
-      pred_entry.owners.erase(owner_it);
-    }
-    if (pred_entry.owners.empty() && !pred_entry.global_base) continue;
-    auto* box = pred_entry.pred->box();
-    const bool duplicate = std::any_of(
-        parent->preds_.begin(), parent->preds_.end(), [&](const PredEntry& p) {
-          return p.pred->box() == box && p.pred->same_as(*pred_entry.pred) &&
-                 p.owners == pred_entry.owners &&
-                 p.global_base == pred_entry.global_base;
-        });
-    if (!duplicate) parent->preds_.push_back(std::move(pred_entry));
   }
 }
 
@@ -369,43 +151,28 @@ void Tx::run_child(const std::function<void(Tx&)>& body) {
 
 void Tx::commit_top_level() {
   // Transactions with no writes commit trivially: their snapshot is a
-  // consistent cut of the multi-version store, and any predicates were
-  // evaluated against that same cut.
+  // consistent cut of the multi-version store.
   if (writes_.empty()) return;
 
-  // Chaos hooks: forge a top-level validation failure just before the commit
+  // Chaos hook: forge a top-level validation failure just before the commit
   // manager runs the real protocol. Skipped for escalated attempts — under
   // exclusivity the retry loop relies on commits not failing.
   if (!escalated_) {
     AUTOPN_FAILPOINT("stm.commit.validate",
                      throw ConflictError{ConflictKind::kInjected});
-    if (!preds_.empty()) {
-      AUTOPN_FAILPOINT("stm.commit.validate_pred",
-                       throw ConflictError{ConflictKind::kInjected});
-    }
   }
 
-  // Materialize the read/write/predicate sets once and hand the request to
-  // the commit manager, which owns the serialization. By construction every
-  // surviving entry at the root is anchored on committed state: owner lists
-  // were popped level by level on the way up, and tree-local entries were
-  // discharged at their owning level.
+  // Materialize the read/write sets once and hand the request to the commit
+  // manager, which owns the serialization. Every read left at the root
+  // resolved in the global chain: reads of a tree's own tentative writes
+  // were discharged at the level that owns the write.
   CommitRequest request;
   request.snapshot = snapshot_;
   request.read_boxes.reserve(reads_.size());
-  for (const auto& [box, read_entry] : reads_) {
-    if (read_entry.global_base) request.read_boxes.push_back(box);
-  }
-  request.predicates.reserve(preds_.size());
-  for (auto& pred_entry : preds_) {
-    if (pred_entry.global_base) {
-      request.predicates.push_back(std::move(pred_entry.pred));
-    }
-  }
+  for (const auto& [box, read_entry] : reads_) request.read_boxes.push_back(box);
   request.writes.reserve(writes_.size());
   for (auto& [box, write_entry] : writes_) {
-    request.writes.push_back(CommitWrite{box, std::move(write_entry.value),
-                                         std::move(write_entry.delta)});
+    request.writes.push_back(CommitWrite{box, std::move(write_entry.value)});
   }
   stm_->commit_manager().commit(request);
 }

@@ -15,16 +15,14 @@ std::size_t buckets_for(std::size_t entries) {
 TpccBenchmark::TpccBenchmark(stm::Stm& stm, TpccConfig config)
     : stm_(&stm),
       config_(config),
-      warehouses_(buckets_for(config.warehouses), "warehouse",
-                  config.container_policy),
+      warehouses_(buckets_for(config.warehouses), "warehouse"),
       districts_(buckets_for(config.warehouses * config.districts_per_warehouse),
-                 "district", config.container_policy),
+                 "district"),
       customers_(buckets_for(config.warehouses * config.districts_per_warehouse *
                              config.customers_per_district),
-                 "customer", config.container_policy),
-      stock_(buckets_for(config.warehouses * config.items), "stock",
-             config.container_policy),
-      orders_(buckets_for(1024), "orders", config.container_policy),
+                 "customer"),
+      stock_(buckets_for(config.warehouses * config.items), "stock"),
+      orders_(buckets_for(1024), "orders"),
       new_orders_(0LL),
       total_payments_(0LL) {
   new_orders_.set_label("new_orders_counter");

@@ -33,10 +33,6 @@ struct TpccConfig {
   double order_status_fraction = 0.04;
   double delivery_fraction = 0.04;
   std::uint64_t seed = 3;
-  /// Conflict-unit policy for all five relations: kSemantic (per-key
-  /// predicates and delta install — the default) or kBoxGranularity
-  /// (whole-bucket COW) for A/B comparison.
-  stm::ContainerPolicy container_policy = stm::ContainerPolicy::kSemantic;
 };
 
 struct WarehouseRow {

@@ -17,11 +17,10 @@ std::size_t buckets_for(std::size_t entries) {
 VacationBenchmark::VacationBenchmark(stm::Stm& stm, VacationConfig config)
     : stm_(&stm),
       config_(config),
-      cars_(buckets_for(config.relations), "cars", config.container_policy),
-      flights_(buckets_for(config.relations), "flights", config.container_policy),
-      rooms_(buckets_for(config.relations), "rooms", config.container_policy),
-      customers_(buckets_for(config.customers), "customers",
-                 config.container_policy) {
+      cars_(buckets_for(config.relations), "cars"),
+      flights_(buckets_for(config.relations), "flights"),
+      rooms_(buckets_for(config.relations), "rooms"),
+      customers_(buckets_for(config.customers), "customers") {
   util::Rng rng{config.seed};
   stm_->run_top([&](stm::Tx& tx) {
     for (std::size_t id = 0; id < config_.relations; ++id) {

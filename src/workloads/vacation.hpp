@@ -32,10 +32,6 @@ struct VacationConfig {
   double delete_fraction = 0.1;
   double update_fraction = 0.1;
   std::uint64_t seed = 2;
-  /// Conflict-unit policy for all four tables: kSemantic (per-key predicates
-  /// and delta install — the default) or kBoxGranularity (whole-bucket COW)
-  /// for A/B comparison.
-  stm::ContainerPolicy container_policy = stm::ContainerPolicy::kSemantic;
 };
 
 /// One resource row.

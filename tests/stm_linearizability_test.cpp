@@ -1,5 +1,4 @@
-// Randomized container linearizability checker (both conflict-unit
-// policies). Concurrent single-op-per-transaction histories over TMap and
+// Randomized container linearizability checker. Concurrent single-op-per-transaction histories over TMap and
 // TQueue are checked against a sequential model:
 //
 //  * TMap: every committed transaction is a read-modify-write increment of
@@ -12,9 +11,8 @@
 //    consumer's popped subsequence restricted to one producer is strictly
 //    increasing, nothing is duplicated, and pushed == popped + drained.
 //
-// The checker runs the same histories under kSemantic (predicates + delta
-// install) and kBoxGranularity (exact bucket reads), pinning that the
-// semantic fast paths preserve full serializability. run_all.sh runs this
+// The BoxGranularity suffix names the conflict unit the containers use: a
+// TMap bucket or a TQueue cursor is one versioned box. run_all.sh runs this
 // binary under ASan/UBSan and TSan.
 #include <gtest/gtest.h>
 
@@ -46,11 +44,11 @@ constexpr std::size_t kThreads = 4;
 constexpr std::size_t kOpsPerThread = 250;
 constexpr std::size_t kKeys = 16;
 
-void run_map_history(ContainerPolicy policy, std::uint64_t seed) {
+void run_map_history(std::uint64_t seed) {
   Stm stm{cfg()};
-  // Two buckets for sixteen keys: heavy same-bucket sharing, so the
-  // semantic policy's disjoint-key fast paths are exercised constantly.
-  TMap<int, int> map{2, "lin", policy};
+  // Two buckets for sixteen keys: heavy same-bucket sharing, so disjoint-key
+  // transactions conflict on a shared bucket constantly.
+  TMap<int, int> map{2, "lin"};
   std::vector<std::jthread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -104,9 +102,9 @@ void run_map_history(ContainerPolicy policy, std::uint64_t seed) {
 
 // Lost-update check proper: increments only (no erases), so the final value
 // of each key must equal exactly the number of committed increments on it.
-void run_map_counter_history(ContainerPolicy policy, std::uint64_t seed) {
+void run_map_counter_history(std::uint64_t seed) {
   Stm stm{cfg()};
-  TMap<int, int> map{2, "cnt", policy};
+  TMap<int, int> map{2, "cnt"};
   std::vector<std::atomic<std::uint64_t>> increments(kKeys);
   std::vector<std::jthread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -134,9 +132,9 @@ void run_map_counter_history(ContainerPolicy policy, std::uint64_t seed) {
   });
 }
 
-void run_queue_history(ContainerPolicy policy) {
+void run_queue_history() {
   Stm stm{cfg()};
-  TQueue<std::int64_t> queue{64, "linq", policy};
+  TQueue<std::int64_t> queue{64, "linq"};
   constexpr std::size_t kProducers = 2;
   constexpr std::size_t kConsumers = 2;
   constexpr std::size_t kPerProducer = 300;
@@ -205,31 +203,20 @@ void run_queue_history(ContainerPolicy policy) {
       const std::int64_t producer = v / kProducerStride;
       const std::int64_t seq = v % kProducerStride;
       auto it = last_seen.find(producer);
-      if (it != last_seen.end()) EXPECT_GT(seq, it->second);
+      if (it != last_seen.end()) {
+        EXPECT_GT(seq, it->second);
+      }
       last_seen[producer] = seq;
     }
   }
   EXPECT_EQ(queue.peek_size(), 0u);
 }
 
-TEST(LinearizabilityTest, MapHistorySemantic) {
-  run_map_history(ContainerPolicy::kSemantic, 11);
-}
-TEST(LinearizabilityTest, MapHistoryBoxGranularity) {
-  run_map_history(ContainerPolicy::kBoxGranularity, 11);
-}
-TEST(LinearizabilityTest, MapCountersSemantic) {
-  run_map_counter_history(ContainerPolicy::kSemantic, 12);
-}
+TEST(LinearizabilityTest, MapHistoryBoxGranularity) { run_map_history(11); }
 TEST(LinearizabilityTest, MapCountersBoxGranularity) {
-  run_map_counter_history(ContainerPolicy::kBoxGranularity, 12);
+  run_map_counter_history(12);
 }
-TEST(LinearizabilityTest, QueueHistorySemantic) {
-  run_queue_history(ContainerPolicy::kSemantic);
-}
-TEST(LinearizabilityTest, QueueHistoryBoxGranularity) {
-  run_queue_history(ContainerPolicy::kBoxGranularity);
-}
+TEST(LinearizabilityTest, QueueHistoryBoxGranularity) { run_queue_history(); }
 
 }  // namespace
 }  // namespace autopn::stm
