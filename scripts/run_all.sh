@@ -16,7 +16,8 @@ scripts/static_analysis.sh
 # Model-checking smoke (docs/MODEL_CHECKING.md): the mc preset routes the
 # sync seam through the cooperative scheduler; each mc_* harness explores the
 # schedule tree at the reduced --smoke budget (preemption bound 1), and the
-# weakened-handoff fixture proves detect-and-replay still fires. The full
+# weakened-handoff and weakened-escalation fixtures prove detect-and-replay
+# still fires. The full
 # exhaustive suite is `cmake --build build --target mc` (also CI tier 2).
 cmake --preset mc
 cmake --build --preset mc
@@ -32,6 +33,9 @@ build-mc/tests/mc_fork_join --smoke
 # full bound (a few seconds).
 echo "== mc: mc_fork_join --weaken-handoff (expect failure) =="
 build-mc/tests/mc_fork_join --weaken-handoff --expect-failure
+# The escalation mutant needs one preemption, so the smoke budget finds it.
+echo "== mc-smoke: mc_commit --weaken-escalation (expect failure) =="
+build-mc/tests/mc_commit --weaken-escalation --expect-failure --smoke
 
 # UBSan sweep: the whole suite, non-recovering (any UB report is fatal).
 cmake --preset ubsan

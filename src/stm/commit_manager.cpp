@@ -16,7 +16,11 @@ void CommitManager::validate_or_throw(const CommitRequest& req) const {
 }
 
 void CommitManager::commit(CommitRequest& req) {
-  sync::ScopedLock lock{mutex_};
+  const Exclusive held{mutex_};
+  commit(req, held);
+}
+
+void CommitManager::commit(CommitRequest& req, const Exclusive& /*held*/) {
   validate_or_throw(req);
   const std::uint64_t version = clock_->load(std::memory_order_relaxed) + 1;
   const std::uint64_t min_active = snapshots_->min_active();

@@ -2,7 +2,10 @@
 // The top-level commit protocol. The CommitManager owns the STM's
 // serialization point: under one commit mutex it validates a transaction's
 // global read set against the version chains, installs its write set at a
-// fresh clock version, and publishes that version.
+// fresh clock version, and publishes that version. A starving transaction
+// escalates by taking that same mutex before its snapshot and holding it
+// through its body and install (lock_exclusive), so no commit can land in
+// between and its validation cannot fail.
 //
 // This deliberately departs from JVSTM's lock-free helping commit: measured
 // against it, the mutex ties end to end and is faster on the single-thread
@@ -53,6 +56,18 @@ class CommitManager {
   CommitManager(const CommitManager&) = delete;
   CommitManager& operator=(const CommitManager&) = delete;
 
+  /// Proof that the caller holds the commit mutex; released on destruction.
+  class Exclusive {
+   private:
+    friend class CommitManager;
+    explicit Exclusive(sync::Mutex& mutex) : lock_(mutex) {}
+    sync::UniqueLock lock_;
+  };
+
+  /// Takes the commit mutex. An escalated attempt holds it from before its
+  /// snapshot through commit(req, held): no other commit lands in between.
+  [[nodiscard]] Exclusive lock_exclusive() { return Exclusive{mutex_}; }
+
   /// Serializes one top-level commit: validates `req.read_boxes`, then
   /// installs `req.writes` at a fresh version, publishing it to the clock.
   /// Throws ConflictError{kTopLevelValidation} when a read is stale (the
@@ -60,6 +75,10 @@ class CommitManager {
   /// `req.writes` may be consumed even on failure; the caller rebuilds it on
   /// retry.
   void commit(CommitRequest& req);
+
+  /// The same commit, under a mutex the caller already holds. When `held`
+  /// was taken before `req.snapshot` was read, the validation is vacuous.
+  void commit(CommitRequest& req, const Exclusive& held);
 
  private:
   /// Every read box's newest version must still be at or below the

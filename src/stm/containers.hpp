@@ -1,19 +1,15 @@
 #pragma once
 // Transactional containers built on versioned boxes. These are the building
-// blocks the benchmark ports use: TArray backs the Array microbenchmark,
-// TMap backs Vacation's reservation tables and TPC-C's relations, TQueue the
-// producer/consumer hotspots.
+// blocks the benchmark ports use: TArray backs the Array microbenchmark and
+// TMap backs Vacation's reservation tables and TPC-C's relations.
 //
 // The conflict unit is the versioned box, as in JVSTM: a TMap bucket is one
-// copy-on-write box and TQueue's head and tail cursors are one box each, so
-// two transactions conflict when one writes a box the other read — even when
-// they touch different keys of one bucket, or opposite ends of a mid-full
-// queue. DESIGN.md §12 records why a finer-grained alternative was measured
-// and deleted.
+// copy-on-write box, so two transactions conflict when one writes a bucket
+// the other read — even when they touch different keys of it. DESIGN.md §12
+// records why a finer-grained alternative was measured and deleted.
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -25,21 +21,6 @@
 #include "stm/tx.hpp"
 
 namespace autopn::stm {
-
-namespace detail {
-
-/// "name" or, when no name was given, a pointer-derived fallback so labels
-/// of unnamed containers stay distinguishable in hotspot reports.
-[[nodiscard]] inline std::string label_prefix(const std::string& name,
-                                              const void* self,
-                                              const char* kind) {
-  if (!name.empty()) return name;
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%s@%p", kind, self);
-  return buffer;
-}
-
-}  // namespace detail
 
 /// Fixed-size transactional array. Each slot is an independent VBox, so
 /// disjoint-slot accesses never conflict. `name`, when given, labels every
@@ -187,67 +168,6 @@ class TMap {
   }
 
   std::vector<std::unique_ptr<VBox<Bucket>>> buckets_;
-};
-
-/// Bounded transactional FIFO queue over a ring of VBox slots. Head and tail
-/// cursors are independent boxes; push and pop each read both, so any two
-/// concurrent queue operations conflict.
-template <typename T>
-class TQueue {
- public:
-  explicit TQueue(std::size_t capacity, const std::string& name = {})
-      : capacity_(capacity),
-        slots_(std::max<std::size_t>(capacity, 1), T{},
-               detail::label_prefix(name, this, "tqueue") + ".slot"),
-        head_(0),
-        tail_(0) {
-    if (capacity == 0) throw std::invalid_argument{"TQueue needs capacity >= 1"};
-    const std::string prefix = detail::label_prefix(name, this, "tqueue");
-    head_.set_label(prefix + ".head");
-    tail_.set_label(prefix + ".tail");
-  }
-
-  /// Appends an element; returns false when the queue is full.
-  bool push(Tx& tx, T value) const {
-    const std::size_t tail = tail_.read(tx);
-    if (tail - head_.read(tx) >= capacity_) return false;
-    slots_.write(tx, tail % capacity_, std::move(value));
-    tail_.write(tx, tail + 1);
-    return true;
-  }
-
-  /// Removes the oldest element; std::nullopt when empty.
-  [[nodiscard]] std::optional<T> pop(Tx& tx) const {
-    const std::size_t head = head_.read(tx);
-    if (head == tail_.read(tx)) return std::nullopt;
-    T value = slots_.read(tx, head % capacity_);
-    head_.write(tx, head + 1);
-    return value;
-  }
-
-  /// Oldest element without removing it; std::nullopt when empty.
-  [[nodiscard]] std::optional<T> front(Tx& tx) const {
-    const std::size_t head = head_.read(tx);
-    if (head == tail_.read(tx)) return std::nullopt;
-    return slots_.read(tx, head % capacity_);
-  }
-
-  [[nodiscard]] std::size_t size(Tx& tx) const {
-    return tail_.read(tx) - head_.read(tx);
-  }
-  [[nodiscard]] bool empty(Tx& tx) const { return size(tx) == 0; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  /// Committed element count outside any transaction (verification).
-  [[nodiscard]] std::size_t peek_size() const {
-    return tail_.peek() - head_.peek();
-  }
-
- private:
-  std::size_t capacity_;
-  TArray<T> slots_;
-  VBox<std::size_t> head_;
-  VBox<std::size_t> tail_;
 };
 
 }  // namespace autopn::stm

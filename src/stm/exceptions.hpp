@@ -39,9 +39,8 @@ class ConflictError final : public std::exception {
   ConflictKind kind_;
 };
 
-/// Thrown by Stm::run_top when a give-up predicate (an explicit
-/// RunOptions::give_up or the thread-ambient ScopedDeadline installed by the
-/// serving layer) reports the caller's deadline passed between retry
+/// Thrown by Stm::run_top when the thread-ambient ScopedDeadline (installed
+/// by the serving layer) reports the caller's deadline passed between retry
 /// attempts. The transaction has NOT committed; nothing was installed.
 class DeadlineExceeded final : public std::exception {
  public:

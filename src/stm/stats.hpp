@@ -43,7 +43,8 @@ struct StmStatsSnapshot {
   std::uint64_t aborts_explicit = 0;    ///< user-requested retry()
   std::uint64_t aborts_injected = 0;    ///< failpoint-injected faults
   /// Top-level transactions that exhausted their retry budget and completed
-  /// through exclusive serialized execution (the starvation-escalation path).
+  /// holding the commit mutex from snapshot to install (the
+  /// starvation-escalation path).
   std::uint64_t top_escalations = 0;
 
   [[nodiscard]] double top_abort_rate() const {

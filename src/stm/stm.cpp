@@ -15,40 +15,6 @@ namespace {
 /// Thread-ambient give-up predicate; see ScopedDeadline.
 thread_local const std::function<bool()>* ambient_deadline = nullptr;
 
-/// RAII share of the normal commit phase. Construction waits out any
-/// announced escalation (rare path: yield/sleep); the share is held across
-/// one attempt's body + commit and dropped before any backoff sleep, so a
-/// retrier never blocks an escalator while sleeping.
-class NormalPhaseShare {
- public:
-  explicit NormalPhaseShare(std::atomic<int>& normal_phase,
-                           std::atomic<int>& escalated_waiting)
-      : normal_phase_(normal_phase) {
-    using namespace std::chrono_literals;
-    for (;;) {
-      // seq_cst: ordered against the announce
-      normal_phase_.fetch_add(1, std::memory_order_seq_cst);
-      if (escalated_waiting.load(std::memory_order_seq_cst) == 0) return;
-      // An escalated attempt is draining the phase; step aside until it has
-      // finished (it holds exclusivity only briefly — one serialized tx).
-      normal_phase_.fetch_sub(1, std::memory_order_seq_cst);
-      std::this_thread::sleep_for(20us);
-    }
-  }
-  ~NormalPhaseShare() { normal_phase_.fetch_sub(1, std::memory_order_seq_cst); }
-
-  NormalPhaseShare(const NormalPhaseShare&) = delete;
-  NormalPhaseShare& operator=(const NormalPhaseShare&) = delete;
-
- private:
-  std::atomic<int>& normal_phase_;
-};
-
-bool give_up_expired(const std::function<bool()>* give_up) {
-  if (give_up != nullptr && *give_up) return (*give_up)();
-  return ScopedDeadline::expired_now();
-}
-
 }  // namespace
 
 // ---- ScopedDeadline --------------------------------------------------------
@@ -88,82 +54,40 @@ Stm::Stm(StmConfig config)
 
 Stm::~Stm() = default;
 
-void Stm::run_top(const std::function<void(Tx&)>& body,
-                  const RunOptions& options) {
+void Stm::run_top(const std::function<void(Tx&)>& body) {
   util::SemaphoreGuard top_permit{top_gate_};
-  const unsigned budget =
-      options.retry_budget != 0 ? options.retry_budget : config_.retry_budget;
-  const std::function<bool()>* give_up =
-      options.give_up ? &options.give_up : nullptr;
-  unsigned attempt = 0;
-  for (;;) {
-    if (budget != 0 && attempt >= budget) {
-      // Retry budget exhausted: this transaction is starving. Run the next
-      // attempt serialized against every other commit — guaranteed to
-      // validate, so it finishes.
-      run_top_escalated(body, give_up);
-      return;
+  const unsigned budget = config_.retry_budget;
+  // Engaged once the retry budget is exhausted: the commit mutex, held from
+  // before the snapshot through the install, so no commit can land between
+  // them and the starving transaction's validation cannot fail.
+  std::optional<CommitManager::Exclusive> exclusive;
+  for (unsigned attempt = 0;; ++attempt) {
+    if (budget != 0 && attempt >= budget && !exclusive) {
+      exclusive.emplace(commit_manager_.lock_exclusive());
+      stats_.bump_top_escalation();
     }
-    std::optional<NormalPhaseShare> phase;
-    phase.emplace(normal_phase_, escalated_waiting_);
     SnapshotRegistry::Handle snapshot = snapshots_.acquire();
     Tx root{*this, nullptr, snapshot.snapshot(),
             child_limit_.load(std::memory_order_relaxed)};
+    root.escalated_ = exclusive.has_value();
     try {
       body(root);
-      root.commit_top_level();
+      root.commit_top_level(exclusive ? &*exclusive : nullptr);
     } catch (const ConflictError& conflict) {
       stats_.bump_top_abort(conflict.kind());
-      // Release the snapshot registration and the phase share before
-      // sleeping: the registry gates version pruning, and a pending
-      // escalation must never wait on a retrier's backoff.
+      // Release the snapshot registration before sleeping: the registry
+      // gates version pruning.
       snapshot.release();
-      phase.reset();
-      if (give_up_expired(give_up)) throw DeadlineExceeded{};
-      backoff(attempt++);
-      continue;
-    }
-    stats_.bump_top_commit();
-    notify_commit();
-    return;
-  }
-}
-
-void Stm::run_top_escalated(const std::function<void(Tx&)>& body,
-                            const std::function<bool()>* give_up) {
-  using namespace std::chrono_literals;
-  std::scoped_lock serialize{escalation_mutex_};
-  // seq_cst announce (Dekker, see header)
-  escalated_waiting_.fetch_add(1, std::memory_order_seq_cst);
-  struct Withdraw {
-    std::atomic<int>& waiting;
-    ~Withdraw() { waiting.fetch_sub(1, std::memory_order_seq_cst); }
-  } withdraw{escalated_waiting_};
-  // Drain in-flight normal attempts; new ones step aside once they observe
-  // the announcement, so this wait is bounded by one attempt's duration.
-  while (normal_phase_.load(std::memory_order_seq_cst) != 0)
-    std::this_thread::sleep_for(20us);
-
-  stats_.bump_top_escalation();
-  for (;;) {
-    SnapshotRegistry::Handle snapshot = snapshots_.acquire();
-    Tx root{*this, nullptr, snapshot.snapshot(),
-            child_limit_.load(std::memory_order_relaxed)};
-    root.escalated_ = true;
-    try {
-      body(root);
-      root.commit_top_level();
-    } catch (const ConflictError& conflict) {
-      // Under exclusivity validation cannot fail; only an explicit user
-      // retry() (or a child-level conflict surfacing through the body)
-      // lands here. Keep the exclusive slot and retry serialized.
-      stats_.bump_top_abort(conflict.kind());
-      snapshot.release();
-      if (give_up_expired(give_up)) throw DeadlineExceeded{};
+      if (ScopedDeadline::expired_now()) throw DeadlineExceeded{};
+      // An escalated attempt aborts only on an explicit retry() or a child
+      // conflict surfacing through its body; it keeps the mutex and retries
+      // at once.
+      if (!exclusive) backoff(attempt);
       continue;
     }
     break;
   }
+  exclusive.reset();  // the callback runs outside the commit serialization
   stats_.bump_top_commit();
   notify_commit();
 }

@@ -14,16 +14,16 @@
 // reconfigurations drain naturally and never interrupt running transactions).
 //
 // Stm itself owns no serialization state: commit ordering lives in the
-// CommitManager, snapshot tracking in the SnapshotRegistry, and statistics
-// in sharded per-thread counters, so nothing here globally serializes
-// run_top beyond the actuator's own t-gate.
+// CommitManager (whose mutex is also the starvation-escalation path),
+// snapshot tracking in the SnapshotRegistry, and statistics in sharded
+// per-thread counters, so nothing here globally serializes run_top beyond
+// the actuator's own t-gate.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -57,21 +57,11 @@ struct StmConfig {
   /// path (see SnapshotRegistry).
   std::size_t snapshot_slots = SnapshotRegistry::kDefaultSlots;
   /// Self-healing guardrail: conflict-aborts a top-level transaction may
-  /// suffer before its next attempt runs escalated — exclusive of all other
-  /// commits, so validation cannot fail and the starved transaction is
-  /// guaranteed to finish. 0 disables escalation (retry forever, the old
-  /// behavior).
+  /// suffer before its next attempt runs escalated — holding the commit
+  /// mutex from before its snapshot through its install, so validation
+  /// cannot fail and the starved transaction is guaranteed to finish. 0
+  /// disables escalation (retry forever).
   unsigned retry_budget = 16;
-};
-
-/// Per-call knobs of Stm::run_top.
-struct RunOptions {
-  /// Overrides StmConfig::retry_budget when nonzero.
-  unsigned retry_budget = 0;
-  /// Checked between retry attempts (never mid-attempt); when it returns
-  /// true the run stops retrying and throws DeadlineExceeded. Empty falls
-  /// back to the thread-ambient predicate installed by ScopedDeadline.
-  std::function<bool()> give_up;
 };
 
 /// Installs a thread-ambient give-up predicate consulted by every
@@ -114,14 +104,15 @@ class Stm {
 
   /// Executes `body` as a top-level transaction, retrying on conflicts with
   /// capped+jittered backoff. After the retry budget is exhausted the next
-  /// attempt runs escalated — serialized exclusively against all other
-  /// commits — so a starved transaction is guaranteed to finish. Blocks at
-  /// the actuator's t-gate while the configured number of concurrent
-  /// top-level transactions is reached. User exceptions abort the
-  /// transaction and propagate; an expired give-up predicate (explicit or
-  /// ambient ScopedDeadline) throws DeadlineExceeded between attempts.
-  void run_top(const std::function<void(Tx&)>& body,
-               const RunOptions& options = {});
+  /// attempt runs escalated: it holds the commit mutex from before its
+  /// snapshot through its install, so no commit lands in between and a
+  /// starved transaction is guaranteed to finish; other writers keep running
+  /// their bodies and wait only at commit. Blocks at the actuator's t-gate
+  /// while the configured number of concurrent top-level transactions is
+  /// reached. User exceptions abort the transaction and propagate; an
+  /// expired ambient ScopedDeadline throws DeadlineExceeded between
+  /// attempts.
+  void run_top(const std::function<void(Tx&)>& body);
 
   /// Convenience wrapper returning a value computed inside the transaction.
   /// T needs no default constructor; the result of the committed attempt is
@@ -213,12 +204,6 @@ class Stm {
   /// (backoff_delay applied to a per-thread Rng).
   void backoff(unsigned attempt);
 
-  /// One escalated attempt: waits until no normal-phase attempt is in
-  /// flight, then runs body + commit exclusively. Loops on the (rare)
-  /// conflicts still possible under exclusivity (explicit user retry).
-  void run_top_escalated(const std::function<void(Tx&)>& body,
-                         const std::function<bool()>* give_up);
-
   /// Non-template body of read_only().
   void run_read_only_impl(const std::function<void(Tx&)>& body);
 
@@ -247,18 +232,6 @@ class Stm {
   /// pointer. Written only by set_commit_callback (single installer — the
   /// tuning controller), after quiescing the previous callback.
   std::shared_ptr<const std::function<void()>> commit_cb_owner_;
-
-  // Starvation-escalation gate (a hand-rolled writer-preferring rwlock whose
-  // read side is two seq_cst RMWs, so the normal path never touches a
-  // mutex): normal attempts hold a "normal phase" share across body+commit;
-  // an escalated attempt announces itself in escalated_waiting_, drains the
-  // shares, and then runs body+commit exclusively — no concurrent commit can
-  // invalidate its reads, so it commits on the first try. seq_cst on both
-  // sides closes the Dekker race (normal: add share, then check waiting;
-  // escalated: announce, then check shares).
-  std::atomic<int> escalated_waiting_{0};
-  std::atomic<int> normal_phase_{0};
-  std::mutex escalation_mutex_;  ///< serializes escalated attempts
 };
 
 }  // namespace autopn::stm

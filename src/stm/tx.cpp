@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "stm/commit_manager.hpp"
 #include "stm/stm.hpp"
 #include "util/failpoint.hpp"
 
@@ -149,14 +148,14 @@ void Tx::run_child(const std::function<void(Tx&)>& body) {
   }
 }
 
-void Tx::commit_top_level() {
+void Tx::commit_top_level(const CommitManager::Exclusive* held) {
   // Transactions with no writes commit trivially: their snapshot is a
   // consistent cut of the multi-version store.
   if (writes_.empty()) return;
 
   // Chaos hook: forge a top-level validation failure just before the commit
   // manager runs the real protocol. Skipped for escalated attempts — under
-  // exclusivity the retry loop relies on commits not failing.
+  // the held commit mutex the retry loop relies on commits not failing.
   if (!escalated_) {
     AUTOPN_FAILPOINT("stm.commit.validate",
                      throw ConflictError{ConflictKind::kInjected});
@@ -174,7 +173,11 @@ void Tx::commit_top_level() {
   for (auto& [box, write_entry] : writes_) {
     request.writes.push_back(CommitWrite{box, std::move(write_entry.value)});
   }
-  stm_->commit_manager().commit(request);
+  if (held != nullptr) {
+    stm_->commit_manager().commit(request, *held);
+  } else {
+    stm_->commit_manager().commit(request);
+  }
 }
 
 }  // namespace autopn::stm

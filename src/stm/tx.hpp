@@ -42,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "stm/commit_manager.hpp"
 #include "stm/exceptions.hpp"
 #include "stm/vbox.hpp"
 #include "util/thread_pool.hpp"
@@ -127,8 +128,9 @@ class Tx {
   void commit_into_parent();
 
   /// Top-level commit: validate global reads, install writes. Throws
-  /// ConflictError on validation failure.
-  void commit_top_level();
+  /// ConflictError on validation failure. `held` is the commit mutex an
+  /// escalated attempt has held since before its snapshot, else nullptr.
+  void commit_top_level(const CommitManager::Exclusive* held);
 
   Stm* stm_;
   Tx* parent_;
@@ -153,8 +155,8 @@ class Tx {
   /// then throw std::logic_error (checked in write_raw via the root).
   bool read_only_ = false;
 
-  /// Set on roots running the starvation-escalation path (exclusive of all
-  /// other commits). Failpoint sites skip injection for escalated trees so
+  /// Set on roots running the starvation-escalation path (holding the
+  /// commit mutex). Failpoint sites skip injection for escalated trees so
   /// an armed fault cannot sabotage the guaranteed-completion path.
   bool escalated_ = false;
 };

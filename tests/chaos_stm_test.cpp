@@ -1,11 +1,13 @@
 // Chaos tests of the STM self-healing layer: injected conflicts via
-// failpoints, bounded retry with starvation escalation (both commit
-// strategies), deadline give-up, and the backoff schedule's bound.
+// failpoints, bounded retry with starvation escalation, deadline give-up,
+// and the backoff schedule's bound.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,16 @@ class ChaosStmTest : public ::testing::Test {
  protected:
   void TearDown() override { util::FailpointRegistry::instance().disarm_all(); }
 };
+
+/// Waits for `latch` at most `limit`; false when it did not open in time.
+bool wait_for(std::latch& latch, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!latch.try_wait()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 TEST_F(ChaosStmTest, BackoffDelayIsCappedAndJittered) {
   util::Rng rng{42};
@@ -75,22 +87,6 @@ TEST_F(ChaosStmTest, RetryBudgetZeroNeverEscalates) {
   const StmStatsSnapshot stats = stm.stats();
   EXPECT_EQ(stats.top_escalations, 0u);
   EXPECT_EQ(stats.aborts_injected, 6u);
-}
-
-TEST_F(ChaosStmTest, GiveUpPredicateThrowsDeadlineExceeded) {
-  if (!util::FailpointRegistry::compiled_in()) GTEST_SKIP();
-  util::FailpointRegistry::instance().arm_from_string(
-      "stm.commit.validate=error(p=1)");
-  StmConfig config;
-  config.retry_budget = 0;  // would otherwise retry forever
-  Stm stm{config};
-  VBox<int> box;
-  RunOptions options;
-  options.give_up = [] { return true; };
-  EXPECT_THROW(
-      stm.run_top([&](Tx& tx) { box.write(tx, 1); }, options),
-      DeadlineExceeded);
-  EXPECT_EQ(stm.stats().top_commits, 0u);
 }
 
 TEST_F(ChaosStmTest, AmbientScopedDeadlinePropagatesWithoutOptions) {
@@ -184,6 +180,62 @@ TEST_F(ChaosStmTest, StarvationVictimCompletesUnderRealContention) {
   const long final_value =
       stm.read_only<long>([&](Tx& tx) { return hot.read(tx); });
   EXPECT_GE(final_value, 5000000L);  // all five victim increments landed
+}
+
+TEST_F(ChaosStmTest, EscalatedAttemptBlocksCommitsNotBodies) {
+  if (!util::FailpointRegistry::compiled_in()) GTEST_SKIP();
+  StmConfig config;
+  config.initial_top = 2;
+  config.retry_budget = 1;
+  Stm stm{config};
+  VBox<int> box;
+  stm.run_top([&](Tx& tx) { box.write(tx, 0); });
+  // One injected abort exhausts the budget of 1, so the next attempt of the
+  // transaction that takes it escalates.
+  util::FailpointRegistry::instance().arm_from_string(
+      "stm.commit.validate=error(p=1,n=1)");
+  const StmStatsSnapshot before = stm.stats();
+
+  std::latch escalated_read{1};
+  std::latch writer_body_done{1};
+  std::atomic<int> escalating_runs{0};
+  std::atomic<int> writer_runs{0};
+  bool writer_ran_in_time = false;
+  std::jthread writer{[&] {
+    if (!wait_for(escalated_read, std::chrono::seconds{2})) return;
+    stm.run_top([&](Tx& tx) {
+      const int value = box.read(tx);
+      box.write(tx, value + 10);
+      if (writer_runs.fetch_add(1, std::memory_order_relaxed) == 0) {
+        writer_body_done.count_down();
+      }
+    });
+  }};
+  stm.run_top([&](Tx& tx) {
+    const int value = box.read(tx);
+    // The first attempt takes the injected abort; the second is escalated
+    // and holds the commit mutex while a normal writer runs its whole body
+    // on the same box.
+    if (escalating_runs.fetch_add(1, std::memory_order_relaxed) == 1) {
+      escalated_read.count_down();
+      writer_ran_in_time = wait_for(writer_body_done, std::chrono::seconds{2});
+    }
+    box.write(tx, value + 1);
+  });
+  writer.join();
+
+  EXPECT_TRUE(writer_ran_in_time)
+      << "a normal writer could not run its body during an escalation";
+  EXPECT_EQ(escalating_runs.load(), 2);
+  EXPECT_EQ(stm.read_only<int>([&](Tx& tx) { return box.read(tx); }), 11);
+  const StmStatsSnapshot after = stm.stats();
+  EXPECT_EQ(after.aborts_injected - before.aborts_injected, 1u);
+  // The writer's first attempt read the box before the escalated commit
+  // landed, so its validation failed; the escalated attempt never failed.
+  EXPECT_GE(writer_runs.load(), 2);
+  EXPECT_GE(after.aborts_validation - before.aborts_validation, 1u);
+  EXPECT_EQ(after.aborts_validation - before.aborts_validation,
+            static_cast<std::uint64_t>(writer_runs.load() - 1));
 }
 
 TEST_F(ChaosStmTest, EscalatedAttemptsIgnoreArmedFailpoints) {

@@ -1,19 +1,44 @@
 // Model-checks the top-level commit protocol (CommitManager) through the sync
-// seam: two committers race full commits to disjoint boxes while a reader
-// takes a snapshot of the clock and resolves both boxes at it, so every
-// interleaving of the commit mutex, the body-chain install and the seq_cst
-// clock publish against an unsynchronized reader is explored. Exhaustive
-// success proves the spelled memory orders are SUFFICIENT for the protocol
-// invariants (dense versions, both writes installed, every version at or
-// below a published clock value visible to a reader, no data race on a
-// body's plain fields) — not merely explicit.
+// seam. Three threads race on two boxes, each registering its snapshot in
+// the SnapshotRegistry as Stm::run_top does (so pruning never frees a body
+// it still walks):
+//
+//   * an escalated committer takes the commit mutex (lock_exclusive), then
+//     its snapshot, reads box a at it and installs the increment under the
+//     lock it still holds — the starvation-escalation path of Stm::run_top;
+//   * a normal committer reads box a at its snapshot and commits the
+//     increment together with a blind write of box b, box a in its read
+//     set, retrying on a validation conflict;
+//   * a reader takes a snapshot and resolves both boxes at it.
+//
+// So every interleaving of the commit mutex, the body-chain install and the
+// seq_cst clock publish against the escalated hold and an unsynchronized
+// reader is explored. Exhaustive success proves the spelled memory orders are
+// SUFFICIENT for the protocol invariants — not merely explicit:
+//
+//   * the escalated commit never fails validation and installs at its
+//     snapshot + 1;
+//   * no lost update on box a (two increments, final value 2);
+//   * versions stay dense (two commits own versions 1 and 2);
+//   * every version at or below a published clock value is visible to a
+//     reader, and no body's plain fields are raced.
+//
+// --weaken-escalation swaps in a mutant escalated committer (here in the
+// harness, not in src/) that takes its snapshot and reads BEFORE taking the
+// commit mutex, and takes it only to commit. The normal commit can then land
+// in the gap, and the checker must report the escalated validation failing
+// with a replayable schedule (run with --expect-failure as the
+// mc_commit_weakened CTest fixture).
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "mc/explore.hpp"
 #include "mc_harness.hpp"
 #include "stm/commit_manager.hpp"
+#include "stm/exceptions.hpp"
 #include "stm/snapshot_registry.hpp"
 #include "stm/stats.hpp"
 #include "stm/vbox.hpp"
@@ -25,13 +50,18 @@ namespace mc = autopn::mc;
 namespace stm = autopn::stm;
 namespace sync = autopn::sync;
 
+bool weaken_escalation = false;
+
 struct World {
   sync::Atomic<std::uint64_t> clock{0};
-  stm::SnapshotRegistry registry{clock, 2};
+  stm::SnapshotRegistry registry{clock, 4};
   stm::ContentionProfiler profiler;
   stm::CommitManager manager{clock, registry, profiler};
   stm::VBox<int> box_a{0};
   stm::VBox<int> box_b{0};
+
+  /// The version the escalated committer installed at.
+  std::uint64_t escalated_version = 0;
 
   /// What the reader saw: its snapshot and, per box, the body it resolved.
   std::uint64_t snapshot = 0;
@@ -41,16 +71,66 @@ struct World {
   int seen_b = -1;
 };
 
-void commit_to(const std::shared_ptr<World>& w, stm::VBoxBase& box, int value) {
+int value_at(const stm::VBoxBase& box, std::uint64_t snapshot) {
+  return *static_cast<const int*>(box.body_at(snapshot)->value.read().get());
+}
+
+stm::CommitRequest increment_request(std::uint64_t snapshot,
+                                     stm::VBoxBase& box) {
   stm::CommitRequest req;
-  req.snapshot = w->clock.load(std::memory_order_seq_cst);
-  req.writes.emplace_back(&box, std::make_shared<const int>(value));
-  // Disjoint write sets with empty read sets never conflict.
-  w->manager.commit(req);
+  req.snapshot = snapshot;
+  req.read_boxes.push_back(&box);
+  req.writes.emplace_back(&box,
+                          std::make_shared<const int>(value_at(box, snapshot) + 1));
+  return req;
+}
+
+void escalated_increment(const std::shared_ptr<World>& w) {
+  const auto held = w->manager.lock_exclusive();
+  const auto handle = w->registry.acquire();
+  const std::uint64_t snapshot = handle.snapshot();
+  auto req = increment_request(snapshot, w->box_a);
+  try {
+    w->manager.commit(req, held);
+  } catch (const stm::ConflictError&) {
+    MC_ASSERT(false, "an escalated commit never fails validation");
+  }
+  w->escalated_version = w->box_a.newest_version();
+  MC_ASSERT(w->escalated_version == snapshot + 1,
+            "the escalated commit installs at its snapshot + 1");
+}
+
+/// The mutant: snapshot and read first, commit mutex only at commit time.
+void weakened_escalated_increment(const std::shared_ptr<World>& w) {
+  const auto handle = w->registry.acquire();
+  auto req = increment_request(handle.snapshot(), w->box_a);
+  const auto held = w->manager.lock_exclusive();
+  try {
+    w->manager.commit(req, held);
+  } catch (const stm::ConflictError&) {
+    MC_ASSERT(false, "an escalated commit never fails validation");
+  }
+  w->escalated_version = w->box_a.newest_version();
+}
+
+void normal_increment(const std::shared_ptr<World>& w) {
+  for (;;) {
+    const auto handle = w->registry.acquire();
+    auto req = increment_request(handle.snapshot(), w->box_a);
+    // A blind write beside the increment: one commit installs two boxes.
+    req.writes.emplace_back(&w->box_b, std::make_shared<const int>(2));
+    try {
+      w->manager.commit(req);
+      return;
+    } catch (const stm::ConflictError&) {
+      // The escalated commit landed after our snapshot: read again.
+    }
+  }
 }
 
 void read_at_snapshot(const std::shared_ptr<World>& w) {
-  w->snapshot = w->clock.load(std::memory_order_acquire);
+  const auto handle = w->registry.acquire();
+  w->snapshot = handle.snapshot();
   const stm::Body* a = w->box_a.body_at(w->snapshot);
   const stm::Body* b = w->box_b.body_at(w->snapshot);
   w->seen_version_a = a->version.read();
@@ -61,31 +141,44 @@ void read_at_snapshot(const std::shared_ptr<World>& w) {
 
 void body() {
   auto w = std::make_shared<World>();
-  mc::Thread t1{[w] { commit_to(w, w->box_a, 1); }};
-  mc::Thread t2{[w] { commit_to(w, w->box_b, 2); }};
+  mc::Thread escalated{[w] {
+    if (weaken_escalation) {
+      weakened_escalated_increment(w);
+    } else {
+      escalated_increment(w);
+    }
+  }};
+  mc::Thread normal{[w] { normal_increment(w); }};
   mc::Thread reader{[w] { read_at_snapshot(w); }};
-  t1.join();
-  t2.join();
+  escalated.join();
+  normal.join();
   reader.join();
 
   // Serialization invariants, checked at quiescence in EVERY interleaving.
   MC_ASSERT(w->clock.load(std::memory_order_seq_cst) == 2,
             "two commits claim exactly two versions (dense clock)");
-  MC_ASSERT(w->box_a.peek() == 1 && w->box_b.peek() == 2,
-            "both write sets installed");
-  const std::uint64_t va = w->box_a.newest_version();
+  MC_ASSERT(w->box_a.peek() == 2, "no lost update: both increments landed");
+  MC_ASSERT(w->box_b.peek() == 2, "the normal commit's second write installed");
+  const std::uint64_t ve = w->escalated_version;
   const std::uint64_t vb = w->box_b.newest_version();
-  MC_ASSERT(va != vb && va >= 1 && va <= 2 && vb >= 1 && vb <= 2,
+  MC_ASSERT(ve != vb && ve >= 1 && ve <= 2 && vb >= 1 && vb <= 2,
             "each commit owns a distinct version in {1,2}");
+  const std::uint64_t vn = vb;  // the normal commit installed both boxes
+  const std::uint64_t va_first = ve < vn ? ve : vn;
+  const std::uint64_t va_second = ve < vn ? vn : ve;
+  MC_ASSERT(w->box_a.newest_version() == va_second,
+            "box a's newest version is its later increment");
 
   // Snapshot visibility: a version at or below the clock value the reader
   // loaded was installed before it was published, so the reader resolves it;
-  // a later version stays invisible.
-  const bool a_visible = va <= w->snapshot;
-  const bool b_visible = vb <= w->snapshot;
-  MC_ASSERT(w->seen_version_a == (a_visible ? va : 0) &&
-                w->seen_a == (a_visible ? 1 : 0),
+  // a later version stays invisible. Box a's k-th version holds the value k.
+  const int a_visible = (va_first <= w->snapshot ? 1 : 0) +
+                        (va_second <= w->snapshot ? 1 : 0);
+  const std::uint64_t va_seen =
+      a_visible == 0 ? 0 : (a_visible == 1 ? va_first : va_second);
+  MC_ASSERT(w->seen_version_a == va_seen && w->seen_a == a_visible,
             "reader resolves box a to its newest version <= snapshot");
+  const bool b_visible = vb <= w->snapshot;
   MC_ASSERT(w->seen_version_b == (b_visible ? vb : 0) &&
                 w->seen_b == (b_visible ? 2 : 0),
             "reader resolves box b to its newest version <= snapshot");
@@ -94,5 +187,14 @@ void body() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return autopn::mc_harness::run(argc, argv, "mc_commit", body);
+  std::vector<char*> passthrough{argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--weaken-escalation") == 0) {
+      weaken_escalation = true;
+    } else {
+      passthrough.push_back(argv[i]);
+    }
+  }
+  return autopn::mc_harness::run(static_cast<int>(passthrough.size()),
+                                 passthrough.data(), "mc_commit", body);
 }

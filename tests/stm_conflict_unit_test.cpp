@@ -1,21 +1,20 @@
-// The container conflict unit: a TMap bucket and each TQueue cursor is one
-// versioned box, and a transaction aborts when a box it read was written by a
-// transaction that committed first.
+// The container conflict unit: a TMap bucket is one versioned box, and a
+// transaction aborts when a box it read was written by a transaction that
+// committed first.
 //
 // The claims pinned here:
 //  * a read of a key that is then overwritten, erased or inserted by a
 //    concurrent commit aborts the reader, whose retry re-reads;
-//  * operations on disjoint keys of one bucket, and a push against a pop on
-//    a mid-full queue, conflict too — and every operation still lands after
-//    the retry;
+//  * operations on disjoint keys of one bucket conflict too — and every
+//    operation still lands after the retry;
 //  * a transaction's own writes are visible to it, and a child reading an
 //    ancestor's tentative put/erase commits without livelock;
 //  * siblings on one bucket end in the right state, and a same-key sibling
 //    conflict is serialized (no lost update).
 //
-// The SemanticMapTest/SemanticQueueTest suite names, and the Predicate and
-// TreeLocal wording in some test names, predate the switch to box
-// granularity and are kept so the tests' histories stay continuous.
+// The SemanticMapTest suite name, and the Predicate and TreeLocal wording in
+// some test names, predate the switch to box granularity and are kept so the
+// tests' histories stay continuous.
 //
 // Interleavings are pinned with latches: the first attempt of transaction A
 // parks mid-body while transaction B runs start-to-commit, then A resumes.
@@ -273,75 +272,6 @@ TEST(SemanticMapTest, SiblingConflictOnSameKeyStillDetected) {
     tx.run_children(std::move(bodies));
   });
   stm.run_top([&](Tx& tx) { EXPECT_EQ(map.get(tx, 1), std::optional<int>{2}); });
-}
-
-// ---- TQueue: push and pop read both cursors ---------------------------------
-
-TEST(SemanticQueueTest, BoxPolicyAbortsDisjointPushPop) {
-  Stm stm{cfg()};
-  TQueue<int> queue{8, "q"};
-  stm.run_top([&](Tx& tx) {
-    for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.push(tx, i));
-  });
-  // Mid-full queue: the pop's read of tail (emptiness check) is invalidated
-  // by the push's commit.
-  interleave(
-      stm, [&](Tx& tx) { EXPECT_EQ(queue.pop(tx), std::optional<int>{0}); },
-      [&](Tx& tx) { EXPECT_TRUE(queue.push(tx, 100)); });
-  EXPECT_EQ(stm.stats().top_aborts, 1u);
-  EXPECT_EQ(queue.peek_size(), 4u);  // still correct after retry
-  // FIFO order intact.
-  stm.run_top([&](Tx& tx) {
-    EXPECT_EQ(queue.pop(tx), std::optional<int>{1});
-    EXPECT_EQ(queue.pop(tx), std::optional<int>{2});
-    EXPECT_EQ(queue.pop(tx), std::optional<int>{3});
-    EXPECT_EQ(queue.pop(tx), std::optional<int>{100});
-  });
-}
-
-TEST(SemanticQueueTest, EmptinessPredicateAbortsWhenElementArrives) {
-  Stm stm{cfg()};
-  TQueue<int> queue{4, "q"};
-  VBox<int> side{0};
-  std::vector<std::optional<int>> observed;
-  // A observes the queue empty and writes a side box; B pushes in A's
-  // window: the observed-empty verdict is stale and must abort A.
-  interleave(
-      stm,
-      [&](Tx& tx) {
-        observed.push_back(queue.pop(tx));
-        side.write(tx, 1);
-      },
-      [&](Tx& tx) { EXPECT_TRUE(queue.push(tx, 7)); });
-  EXPECT_EQ(stm.stats().aborts_validation, 1u);
-  ASSERT_EQ(observed.size(), 2u);
-  EXPECT_EQ(observed[0], std::nullopt);
-  EXPECT_EQ(observed[1], std::optional<int>{7});
-}
-
-TEST(SemanticQueueTest, FullnessVerdictAbortsWhenRoomAppears) {
-  Stm stm{cfg()};
-  TQueue<int> queue{2, "q"};
-  stm.run_top([&](Tx& tx) {
-    EXPECT_TRUE(queue.push(tx, 0));
-    EXPECT_TRUE(queue.push(tx, 1));
-  });
-  VBox<int> side{0};
-  std::vector<bool> pushed;
-  // A observes the queue full and gives up; B pops in A's window, making
-  // room A should have taken.
-  interleave(
-      stm,
-      [&](Tx& tx) {
-        pushed.push_back(queue.push(tx, 9));
-        side.write(tx, 1);
-      },
-      [&](Tx& tx) { EXPECT_EQ(queue.pop(tx), std::optional<int>{0}); });
-  EXPECT_EQ(stm.stats().aborts_validation, 1u);
-  ASSERT_EQ(pushed.size(), 2u);
-  EXPECT_FALSE(pushed[0]);
-  EXPECT_TRUE(pushed[1]);
-  EXPECT_EQ(queue.peek_size(), 2u);
 }
 
 }  // namespace

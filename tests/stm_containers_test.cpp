@@ -161,117 +161,6 @@ TEST(TMapTest, ConcurrentDisjointBucketWrites) {
   stm.run_top([&](Tx& tx) { EXPECT_EQ(map.size(tx), 200u); });
 }
 
-TEST(TQueueTest, FifoOrder) {
-  Stm stm{cfg()};
-  TQueue<int> queue{8};
-  stm.run_top([&](Tx& tx) {
-    EXPECT_TRUE(queue.empty(tx));
-    EXPECT_TRUE(queue.push(tx, 1));
-    EXPECT_TRUE(queue.push(tx, 2));
-    EXPECT_TRUE(queue.push(tx, 3));
-    EXPECT_EQ(queue.size(tx), 3u);
-    EXPECT_EQ(queue.front(tx).value(), 1);
-    EXPECT_EQ(queue.pop(tx).value(), 1);
-    EXPECT_EQ(queue.pop(tx).value(), 2);
-    EXPECT_EQ(queue.pop(tx).value(), 3);
-    EXPECT_FALSE(queue.pop(tx).has_value());
-  });
-}
-
-TEST(TQueueTest, CapacityBound) {
-  Stm stm{cfg()};
-  TQueue<int> queue{2};
-  stm.run_top([&](Tx& tx) {
-    EXPECT_TRUE(queue.push(tx, 1));
-    EXPECT_TRUE(queue.push(tx, 2));
-    EXPECT_FALSE(queue.push(tx, 3));  // full
-    (void)queue.pop(tx);
-    EXPECT_TRUE(queue.push(tx, 3));  // slot freed
-  });
-  EXPECT_EQ(queue.peek_size(), 2u);
-}
-
-TEST(TQueueTest, WrapsAroundRing) {
-  Stm stm{cfg()};
-  TQueue<int> queue{3};
-  for (int round = 0; round < 10; ++round) {
-    stm.run_top([&](Tx& tx) {
-      EXPECT_TRUE(queue.push(tx, round));
-      EXPECT_EQ(queue.pop(tx).value(), round);
-    });
-  }
-  EXPECT_EQ(queue.peek_size(), 0u);
-}
-
-TEST(TQueueTest, AbortDiscardsOperations) {
-  Stm stm{cfg()};
-  TQueue<int> queue{4};
-  stm.run_top([&](Tx& tx) { (void)queue.push(tx, 1); });
-  EXPECT_THROW(stm.run_top([&](Tx& tx) {
-    (void)queue.pop(tx);
-    (void)queue.push(tx, 99);
-    throw std::runtime_error{"abort"};
-  }),
-               std::runtime_error);
-  stm.run_top([&](Tx& tx) {
-    EXPECT_EQ(queue.size(tx), 1u);
-    EXPECT_EQ(queue.front(tx).value(), 1);
-  });
-}
-
-TEST(TQueueTest, ConcurrentProducersConsumersConserveItems) {
-  Stm stm{cfg()};
-  TQueue<int> queue{64};
-  constexpr int kPerProducer = 50;
-  std::atomic<int> consumed{0};
-  std::atomic<long long> consumed_sum{0};
-  std::atomic<bool> producers_done{false};
-  std::vector<std::jthread> threads;
-  for (int p = 0; p < 2; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int item = p * 1000 + i;
-        bool pushed = false;
-        while (!pushed) {
-          stm.run_top([&](Tx& tx) { pushed = queue.push(tx, item); });
-        }
-      }
-    });
-  }
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      while (true) {
-        std::optional<int> item;
-        stm.run_top([&](Tx& tx) { item = queue.pop(tx); });
-        if (item.has_value()) {
-          consumed.fetch_add(1);
-          consumed_sum.fetch_add(*item);
-        } else if (producers_done.load()) {
-          // Drain check: another empty pop after producers finished => done.
-          bool empty = false;
-          stm.run_top([&](Tx& tx) { empty = queue.empty(tx); });
-          if (empty) return;
-        }
-      }
-    });
-  }
-  threads[0].join();
-  threads[1].join();
-  producers_done.store(true);
-  threads.clear();
-  EXPECT_EQ(consumed.load(), 2 * kPerProducer);
-  long long expected_sum = 0;
-  for (int p = 0; p < 2; ++p) {
-    for (int i = 0; i < kPerProducer; ++i) expected_sum += p * 1000 + i;
-  }
-  EXPECT_EQ(consumed_sum.load(), expected_sum);
-  EXPECT_EQ(queue.peek_size(), 0u);
-}
-
-TEST(TQueueTest, ZeroCapacityRejected) {
-  EXPECT_THROW((TQueue<int>{0}), std::invalid_argument);
-}
-
 TEST(TMapTest, NestedChildrenPopulateMap) {
   Stm stm{cfg()};
   TMap<int, int> map{32};

@@ -1,27 +1,19 @@
-// Randomized container linearizability checker. Concurrent single-op-per-transaction histories over TMap and
-// TQueue are checked against a sequential model:
-//
-//  * TMap: every committed transaction is a read-modify-write increment of
-//    one key (get -> put(v+1)), so linearizability means no lost updates —
-//    the final value of each key equals the number of committed increments
-//    on it. Random erases reset a key; each thread tallies the model effect
-//    of its own committed transactions via a per-key atomic epoch scheme.
-//  * TQueue: producers push strictly increasing per-producer sequence
-//    numbers, consumers pop concurrently. FIFO linearizability means each
-//    consumer's popped subsequence restricted to one producer is strictly
-//    increasing, nothing is duplicated, and pushed == popped + drained.
+// Randomized container linearizability checker. Concurrent
+// single-op-per-transaction histories over TMap are checked against a
+// sequential model: every committed transaction is a read-modify-write
+// increment of one key (get -> put(v+1)), so linearizability means no lost
+// updates — the final value of each key equals the number of committed
+// increments on it. Random erases reset a key; each thread tallies the model
+// effect of its own committed transactions via a per-key atomic epoch scheme.
 //
 // The BoxGranularity suffix names the conflict unit the containers use: a
-// TMap bucket or a TQueue cursor is one versioned box. run_all.sh runs this
-// binary under ASan/UBSan and TSan.
+// TMap bucket is one versioned box. run_all.sh runs this binary under
+// ASan/UBSan and TSan.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -132,91 +124,10 @@ void run_map_counter_history(std::uint64_t seed) {
   });
 }
 
-void run_queue_history() {
-  Stm stm{cfg()};
-  TQueue<std::int64_t> queue{64, "linq"};
-  constexpr std::size_t kProducers = 2;
-  constexpr std::size_t kConsumers = 2;
-  constexpr std::size_t kPerProducer = 300;
-  constexpr std::int64_t kProducerStride = 1'000'000;
-
-  std::vector<std::vector<std::int64_t>> popped(kConsumers);
-  std::atomic<std::size_t> produced_total{0};
-  {
-    std::vector<std::jthread> threads;
-    for (std::size_t p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&, p] {
-        for (std::size_t i = 0; i < kPerProducer;) {
-          const std::int64_t value =
-              static_cast<std::int64_t>(p) * kProducerStride +
-              static_cast<std::int64_t>(i);
-          bool ok = false;
-          stm.run_top([&](Tx& tx) { ok = queue.push(tx, value); });
-          if (ok) {
-            ++i;
-            produced_total.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (std::size_t c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&, c] {
-        std::size_t dry = 0;
-        while (dry < 200) {
-          std::optional<std::int64_t> got;
-          stm.run_top([&](Tx& tx) { got = queue.pop(tx); });
-          if (got.has_value()) {
-            popped[c].push_back(*got);
-            dry = 0;
-          } else if (produced_total.load(std::memory_order_relaxed) ==
-                     kProducers * kPerProducer) {
-            ++dry;  // queue may still drain below; give it bounded retries
-          }
-        }
-      });
-    }
-  }
-
-  // Drain the remainder single-threaded.
-  std::vector<std::int64_t> drained;
-  stm.run_top([&](Tx& tx) {
-    while (auto v = queue.pop(tx)) drained.push_back(*v);
-  });
-
-  // No element lost or duplicated.
-  std::multiset<std::int64_t> all;
-  for (const auto& c : popped) all.insert(c.begin(), c.end());
-  all.insert(drained.begin(), drained.end());
-  ASSERT_EQ(all.size(), kProducers * kPerProducer);
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    for (std::size_t i = 0; i < kPerProducer; ++i) {
-      EXPECT_EQ(all.count(static_cast<std::int64_t>(p) * kProducerStride +
-                          static_cast<std::int64_t>(i)),
-                1u);
-    }
-  }
-  // FIFO per producer: each consumer's subsequence from one producer is
-  // strictly increasing (a pop reordering would invert two of them).
-  for (const auto& c : popped) {
-    std::map<std::int64_t, std::int64_t> last_seen;  // producer -> last seq
-    for (const std::int64_t v : c) {
-      const std::int64_t producer = v / kProducerStride;
-      const std::int64_t seq = v % kProducerStride;
-      auto it = last_seen.find(producer);
-      if (it != last_seen.end()) {
-        EXPECT_GT(seq, it->second);
-      }
-      last_seen[producer] = seq;
-    }
-  }
-  EXPECT_EQ(queue.peek_size(), 0u);
-}
-
 TEST(LinearizabilityTest, MapHistoryBoxGranularity) { run_map_history(11); }
 TEST(LinearizabilityTest, MapCountersBoxGranularity) {
   run_map_counter_history(12);
 }
-TEST(LinearizabilityTest, QueueHistoryBoxGranularity) { run_queue_history(); }
 
 }  // namespace
 }  // namespace autopn::stm
