@@ -2,6 +2,8 @@
 // paper argues must stay negligible (§V-B model choice, §VII-E):
 //  * STM primitives: transactional read/write, top-level commit, nested
 //    spawn/merge;
+//  * one TPC-C transaction after a long history, whose cost must not grow
+//    with how many transactions ran before it;
 //  * M5 model-tree training and prediction at online training-set sizes;
 //  * bagging ensemble fit (k=10) and EI sweep over the full 198-point space;
 //  * KPI monitor per-commit cost.
@@ -18,6 +20,7 @@
 #include "stm/containers.hpp"
 #include "stm/stm.hpp"
 #include "util/rng.hpp"
+#include "workloads/tpcc.hpp"
 
 using namespace autopn;
 
@@ -105,6 +108,25 @@ void BM_StmNestedSpawnMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(children));
 }
 BENCHMARK(BM_StmNestedSpawnMerge)->Arg(2)->Arg(8);
+
+void BM_TpccTxAfter(benchmark::State& state) {
+  // The servable TPC-C config (2 warehouses) on one thread: range(0)
+  // transactions run untimed, then each iteration times one more.
+  stm::Stm stm{bench_config()};
+  workloads::TpccConfig cfg;
+  cfg.warehouses = 2;
+  workloads::TpccBenchmark tpcc{stm, cfg};
+  util::Rng rng{cfg.seed};
+  tpcc.run_many(static_cast<std::size_t>(state.range(0)), rng);
+  for (auto _ : state) tpcc.run_one(rng);
+}
+// A fixed iteration count runs the warm-up once per repetition; otherwise
+// google-benchmark reruns the whole function while it sizes the count.
+BENCHMARK(BM_TpccTxAfter)
+    ->Arg(20'000)
+    ->Arg(1'000'000)
+    ->Iterations(20'000)
+    ->Unit(benchmark::kMicrosecond);
 
 ml::Dataset make_training_set(std::size_t n) {
   util::Rng rng{11};

@@ -42,8 +42,9 @@ cmake --preset ubsan
 cmake --build build-ubsan
 ctest --test-dir build-ubsan --output-on-failure
 
-# Race-check the STM core and the serving engine: rebuild just those test
-# binaries under ThreadSanitizer (the tsan preset) and run them directly. We
+# Race-check the STM core, the workloads (TLog publishes segments lock-free)
+# and the serving engine: rebuild just those test binaries under
+# ThreadSanitizer (the tsan preset) and run them directly. We
 # invoke the binaries rather than ctest -R because gtest test names don't
 # match target names. No suppression file: every report is a finding.
 cmake --preset tsan
@@ -51,7 +52,7 @@ cmake --build build-tsan --target \
   stm_basic_test stm_nesting_test stm_concurrency_test stm_containers_test \
   stm_property_test stm_commit_strategy_test stm_snapshot_registry_test \
   stm_commit_manager_test stm_stats_test \
-  stm_conflict_unit_test stm_linearizability_test \
+  stm_conflict_unit_test stm_linearizability_test workloads_test \
   serve_queue_test serve_engine_test serve_e2e_test \
   util_concurrency_test runtime_controller_test \
   util_failpoint_test chaos_stm_test chaos_serve_test chaos_runtime_test \
@@ -63,6 +64,7 @@ for t in build-tsan/tests/stm_*_test build-tsan/tests/serve_*_test \
          build-tsan/tests/net_*_test build-tsan/tests/router_*_test \
          build-tsan/tests/model_*_test \
          build-tsan/tests/util_concurrency_test \
+         build-tsan/tests/workloads_test \
          build-tsan/tests/runtime_controller_test \
          build-tsan/tests/util_failpoint_test build-tsan/tests/chaos_*_test; do
   echo "== tsan: $(basename "$t") =="
@@ -73,18 +75,22 @@ done
 # posting: run them under ASan+UBSan combined as well (the TSan pass above
 # already covers them for races). The container conflict checkers join this
 # pass because commits hand copy-on-write buckets and cursors, and their
-# shared_ptr ownership, across threads — exactly ASan territory.
+# shared_ptr ownership, across threads — exactly ASan territory. So do the
+# containers and workloads tests: TLog owns its segments through a raw
+# pointer published by CAS, and the loser of a race frees its copy.
 cmake --preset asan-ubsan
 cmake --build build-asan-ubsan --target \
   net_wire_test net_loop_test net_server_test net_chaos_test \
   net_client_retry_test router_proxy_test router_membership_test \
-  stm_conflict_unit_test stm_linearizability_test \
-  model_queue_test model_compose_test model_vs_des_test
+  stm_conflict_unit_test stm_linearizability_test stm_containers_test \
+  workloads_test model_queue_test model_compose_test model_vs_des_test
 for t in build-asan-ubsan/tests/net_*_test \
          build-asan-ubsan/tests/router_proxy_test \
          build-asan-ubsan/tests/router_membership_test \
          build-asan-ubsan/tests/stm_conflict_unit_test \
          build-asan-ubsan/tests/stm_linearizability_test \
+         build-asan-ubsan/tests/stm_containers_test \
+         build-asan-ubsan/tests/workloads_test \
          build-asan-ubsan/tests/model_*_test; do
   echo "== asan-ubsan: $(basename "$t") =="
   "$t"

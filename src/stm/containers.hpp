@@ -1,7 +1,8 @@
 #pragma once
 // Transactional containers built on versioned boxes. These are the building
-// blocks the benchmark ports use: TArray backs the Array microbenchmark and
-// TMap backs Vacation's reservation tables and TPC-C's relations.
+// blocks the benchmark ports use: TArray backs the Array microbenchmark, TMap
+// backs Vacation's reservation tables and TPC-C's fixed-size relations, and
+// TLog holds TPC-C's ever-growing orders, one box per order.
 //
 // The conflict unit is the versioned box, as in JVSTM: a TMap bucket is one
 // copy-on-write box, so two transactions conflict when one writes a bucket
@@ -9,7 +10,11 @@
 // records why a finer-grained alternative was measured and deleted.
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -168,6 +173,62 @@ class TMap {
   }
 
   std::vector<std::unique_ptr<VBox<Bucket>>> buckets_;
+};
+
+/// Append-only transactional log: ids 1, 2, 3, ... each name one VBox, so
+/// finding, reading or writing an entry is O(1) however long the log grows.
+/// The caller allocates ids — from a transactional counter, which then stays
+/// the conflict point — and a box nothing has committed to reads like any
+/// unseeded VBox (std::logic_error). Boxes live in segments of 64, 128, 256,
+/// ... boxes, allocated on first touch; 26 segments cover every positive int.
+/// Boxes never move, so a reference stays valid for the log's lifetime. Boxes
+/// carry no label: a string per entry would cost memory per entry.
+template <typename T>
+class TLog {
+ public:
+  TLog() = default;
+  ~TLog() {
+    for (auto& segment : segments_) {
+      std::unique_ptr<VBox<T>[]> owned{segment.load(std::memory_order_acquire)};
+    }
+  }
+  TLog(const TLog&) = delete;
+  TLog& operator=(const TLog&) = delete;
+
+  [[nodiscard]] T read(Tx& tx, int id) const { return box(id).read(tx); }
+
+  void write(Tx& tx, int id, T value) const { box(id).write(tx, std::move(value)); }
+
+  /// The box of entry `id` (>= 1); throws std::out_of_range otherwise.
+  [[nodiscard]] const VBox<T>& box(int id) const {
+    if (id < 1) throw std::out_of_range{"TLog ids start at 1"};
+    // Segment s holds the 64 << s slots [64 << s, 128 << s); id 1 is slot 64.
+    const auto slot = static_cast<std::uint64_t>(id) + kFirstSegment - 1;
+    const auto s = static_cast<std::size_t>(std::bit_width(slot)) - kFirstSegmentBits - 1;
+    const std::uint64_t first_slot = kFirstSegment << s;
+    return segment(s)[slot - first_slot];
+  }
+
+ private:
+  static constexpr std::size_t kFirstSegmentBits = 6;
+  static constexpr std::uint64_t kFirstSegment = 1u << kFirstSegmentBits;
+  static constexpr std::size_t kSegments = 26;
+
+  /// Segment `s`, allocated on first touch. Racing allocators publish with
+  /// one CAS; the loser frees its copy and uses the winner's.
+  [[nodiscard]] VBox<T>* segment(std::size_t s) const {
+    VBox<T>* current = segments_[s].load(std::memory_order_acquire);
+    if (current != nullptr) return current;
+    auto fresh = std::make_unique<VBox<T>[]>(kFirstSegment << s);
+    if (segments_[s].compare_exchange_strong(current, fresh.get(),
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+      return fresh.release();
+    }
+    return current;
+  }
+
+  mutable std::array<std::atomic<VBox<T>*>, kSegments> segments_{};
 };
 
 }  // namespace autopn::stm

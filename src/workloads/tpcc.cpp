@@ -1,8 +1,9 @@
 #include "workloads/tpcc.hpp"
 
 #include <algorithm>
-
 #include <functional>
+#include <optional>
+#include <stdexcept>
 
 namespace autopn::workloads {
 
@@ -22,7 +23,7 @@ TpccBenchmark::TpccBenchmark(stm::Stm& stm, TpccConfig config)
                              config.customers_per_district),
                  "customer"),
       stock_(buckets_for(config.warehouses * config.items), "stock"),
-      orders_(buckets_for(1024), "orders"),
+      orders_(config.warehouses * config.districts_per_warehouse),
       new_orders_(0LL),
       total_payments_(0LL) {
   new_orders_.set_label("new_orders_counter");
@@ -62,8 +63,8 @@ int TpccBenchmark::stock_key(int warehouse, int item) const {
   return warehouse * static_cast<int>(config_.items) + item;
 }
 
-int TpccBenchmark::order_key(int warehouse, int district, int order_id) const {
-  return (district_key(warehouse, district) << 16) | order_id;
+const stm::TLog<OrderRow>& TpccBenchmark::orders(int warehouse, int district) const {
+  return orders_[static_cast<std::size_t>(district_key(warehouse, district))];
 }
 
 long long TpccBenchmark::new_order(int warehouse, int district, int customer,
@@ -127,8 +128,8 @@ long long TpccBenchmark::new_order(int warehouse, int district, int customer,
 
     order_total = 0;
     for (const OrderLine& line : lines) order_total += line.amount;
-    orders_.put(tx, order_key(warehouse, district, order_id),
-                OrderRow{customer, false, lines});
+    orders(warehouse, district)
+        .write(tx, order_id, OrderRow{customer, false, std::move(lines)});
     new_orders_.write(tx, new_orders_.read(tx) + 1);
   });
   return order_total;
@@ -160,12 +161,13 @@ long long TpccBenchmark::order_status(int warehouse, int district, int customer)
   return stm_->run_top_returning<long long>([&](stm::Tx& tx) {
     const int dkey = district_key(warehouse, district);
     const DistrictRow drow = districts_.get(tx, dkey).value();
+    const stm::TLog<OrderRow>& log = orders(warehouse, district);
     // Scan back for the customer's most recent order.
     for (int oid = drow.next_order_id - 1; oid >= 1; --oid) {
-      const auto order = orders_.get(tx, order_key(warehouse, district, oid));
-      if (order.has_value() && order->customer_id == customer) {
+      const OrderRow order = log.read(tx, oid);
+      if (order.customer_id == customer) {
         long long total = 0;
-        for (const OrderLine& line : order->lines) total += line.amount;
+        for (const OrderLine& line : order.lines) total += line.amount;
         return total;
       }
     }
@@ -189,15 +191,15 @@ int TpccBenchmark::delivery(int warehouse) {
           return;  // nothing undelivered in this district
         }
         const int oid = drow.next_delivery_id;
-        const int okey = order_key(warehouse, static_cast<int>(d), oid);
-        OrderRow order = orders_.get(child, okey).value();
+        const stm::TLog<OrderRow>& log = orders(warehouse, static_cast<int>(d));
+        OrderRow order = log.read(child, oid);
         order.delivered = true;
         long long total = 0;
         for (const OrderLine& line : order.lines) total += line.amount;
-        orders_.put(child, okey, order);
-
         const int ckey =
             customer_key(warehouse, static_cast<int>(d), order.customer_id);
+        log.write(child, oid, std::move(order));
+
         CustomerRow crow = customers_.get(child, ckey).value();
         crow.balance += total;
         crow.delivery_count += 1;
@@ -224,10 +226,10 @@ int TpccBenchmark::stock_level(int warehouse, int district, int threshold,
     int low = 0;
     const int newest = drow.next_order_id - 1;
     const int oldest = std::max(1, newest - recent_orders + 1);
+    const stm::TLog<OrderRow>& log = orders(warehouse, district);
     for (int oid = newest; oid >= oldest; --oid) {
-      const auto order = orders_.get(tx, order_key(warehouse, district, oid));
-      if (!order.has_value()) continue;
-      for (const OrderLine& line : order->lines) {
+      const OrderRow order = log.read(tx, oid);
+      for (const OrderLine& line : order.lines) {
         if (std::find(seen.begin(), seen.end(), line.item_id) != seen.end()) {
           continue;
         }
@@ -280,35 +282,51 @@ bool TpccBenchmark::verify_consistency() {
   return stm_->run_top_returning<bool>([&](stm::Tx& tx) {
     bool ok = true;
 
-    // Orders per district match the allocated ids, and stock YTD matches
-    // the order lines.
-    std::vector<long long> stock_ordered(config_.warehouses * config_.items, 0);
-    std::vector<int> orders_per_district(
-        config_.warehouses * config_.districts_per_warehouse, 0);
-    orders_.for_each(tx, [&](const int& key, const OrderRow& order) {
-      const int dkey = key >> 16;
-      orders_per_district[static_cast<std::size_t>(dkey)]++;
-      for (const OrderLine& line : order.lines) {
-        stock_ordered[static_cast<std::size_t>(
-            stock_key(line.supply_warehouse, line.item_id))] += line.quantity;
+    // Walk every district's orders by id. The ids are dense: each id below
+    // the district's next_order_id holds an order and that id itself holds
+    // none (an order nothing committed reads as an uninitialized box). Each
+    // order is delivered iff its id is below the delivery watermark, and its
+    // lines account for the stock sold.
+    const auto order_at = [&tx](const stm::TLog<OrderRow>& log,
+                                int oid) -> std::optional<OrderRow> {
+      try {
+        return log.read(tx, oid);
+      } catch (const std::logic_error&) {
+        return std::nullopt;
       }
-    });
+    };
+    std::vector<long long> stock_ordered(config_.warehouses * config_.items, 0);
+    long long delivered_total = 0;
     for (std::size_t w = 0; w < config_.warehouses; ++w) {
       for (std::size_t d = 0; d < config_.districts_per_warehouse; ++d) {
-        const int dkey = district_key(static_cast<int>(w), static_cast<int>(d));
-        const DistrictRow drow = districts_.get(tx, dkey).value();
-        if (drow.next_order_id - 1 != orders_per_district[static_cast<std::size_t>(dkey)]) {
-          ok = false;
+        const int wi = static_cast<int>(w);
+        const int di = static_cast<int>(d);
+        const DistrictRow drow = districts_.get(tx, district_key(wi, di)).value();
+        const stm::TLog<OrderRow>& log = orders(wi, di);
+        if (order_at(log, drow.next_order_id).has_value()) ok = false;
+        for (int oid = 1; oid < drow.next_order_id; ++oid) {
+          const std::optional<OrderRow> order = order_at(log, oid);
+          if (!order.has_value()) {
+            ok = false;
+            continue;
+          }
+          if (order->delivered != (oid < drow.next_delivery_id)) ok = false;
+          for (const OrderLine& line : order->lines) {
+            stock_ordered[static_cast<std::size_t>(
+                stock_key(line.supply_warehouse, line.item_id))] += line.quantity;
+            if (order->delivered) delivered_total += line.amount;
+          }
         }
       }
-      for (std::size_t i = 0; i < config_.items; ++i) {
-        const int skey = stock_key(static_cast<int>(w), static_cast<int>(i));
-        const StockRow srow = stock_.get(tx, skey).value();
-        if (srow.ytd != stock_ordered[static_cast<std::size_t>(skey)]) ok = false;
-        // quantity is restocked in units of 91, so track only ytd linkage
-        // and non-negativity.
-        if (srow.quantity < 0) ok = false;
-      }
+    }
+    // Remote order lines cross warehouses, so stock is checked once every
+    // order has been counted.
+    for (std::size_t skey = 0; skey < stock_ordered.size(); ++skey) {
+      const StockRow srow = stock_.get(tx, static_cast<int>(skey)).value();
+      if (srow.ytd != stock_ordered[skey]) ok = false;
+      // quantity is restocked in units of 91, so track only ytd linkage
+      // and non-negativity.
+      if (srow.quantity < 0) ok = false;
     }
 
     // Warehouse YTD equals the sum of its districts' YTD.
@@ -325,20 +343,8 @@ bool TpccBenchmark::verify_consistency() {
       }
     }
 
-    // Delivery bookkeeping: an order is delivered iff its id is below the
-    // district's delivery watermark, and money is conserved — the sum of all
-    // customer balances equals delivered order totals minus payments.
-    long long delivered_total = 0;
-    orders_.for_each(tx, [&](const int& key, const OrderRow& order) {
-      const int dkey = key >> 16;
-      const int oid = key & 0xffff;
-      const DistrictRow drow = districts_.get(tx, dkey).value();
-      const bool should_be_delivered = oid < drow.next_delivery_id;
-      if (order.delivered != should_be_delivered) ok = false;
-      if (order.delivered) {
-        for (const OrderLine& line : order.lines) delivered_total += line.amount;
-      }
-    });
+    // Money is conserved: the sum of all customer balances equals delivered
+    // order totals minus payments.
     long long balance_total = 0;
     customers_.for_each(tx, [&](const int&, const CustomerRow& crow) {
       balance_total += crow.balance;

@@ -7,6 +7,12 @@
 // relations. Contention is controlled by the warehouse count (TPC-C
 // semantics: most traffic stays within one warehouse, so fewer warehouses
 // means hotter districts and stock rows).
+//
+// Orders, the one relation that grows for as long as the benchmark runs, sit
+// in one append-only log per district, one box per order, indexed by order
+// id, so no transaction's cost grows with the number of orders: New-Order,
+// Delivery and Stock-Level touch a fixed number of order boxes, and
+// Order-Status scans back only to the customer's latest order.
 
 #include <cstdint>
 #include <vector>
@@ -97,10 +103,13 @@ class TpccBenchmark {
   // ---- verification -------------------------------------------------------
 
   /// Consistency checks over the committed state:
-  ///  * district.next_order_id - 1 == number of orders in that district;
+  ///  * each district's orders have exactly the ids 1 .. next_order_id - 1;
   ///  * every stock row's ytd equals the units ordered from it across all
-  ///    order lines and quantity + ytd equals the initial quantity;
-  ///  * warehouse ytd equals the sum of its districts' ytd.
+  ///    order lines, and no quantity is negative;
+  ///  * warehouse ytd equals the sum of its districts' ytd;
+  ///  * an order is delivered iff its id is below the district's delivery
+  ///    watermark, and the customers' balances sum to the delivered order
+  ///    totals minus all payments.
   [[nodiscard]] bool verify_consistency();
 
   [[nodiscard]] const TpccConfig& config() const noexcept { return config_; }
@@ -115,7 +124,7 @@ class TpccBenchmark {
   [[nodiscard]] int district_key(int warehouse, int district) const;
   [[nodiscard]] int customer_key(int warehouse, int district, int customer) const;
   [[nodiscard]] int stock_key(int warehouse, int item) const;
-  [[nodiscard]] int order_key(int warehouse, int district, int order_id) const;
+  [[nodiscard]] const stm::TLog<OrderRow>& orders(int warehouse, int district) const;
 
   stm::Stm* stm_;
   TpccConfig config_;
@@ -123,7 +132,7 @@ class TpccBenchmark {
   stm::TMap<int, DistrictRow> districts_;
   stm::TMap<int, CustomerRow> customers_;
   stm::TMap<int, StockRow> stock_;
-  stm::TMap<int, OrderRow> orders_;
+  std::vector<stm::TLog<OrderRow>> orders_;  ///< one log per district_key
   stm::VBox<long long> new_orders_;
   stm::VBox<long long> total_payments_;  ///< sum of all payment amounts
   int initial_stock_quantity_ = 1000;

@@ -1,7 +1,11 @@
-// Transactional container semantics: TArray slot independence and TMap
-// bucket-granular copy-on-write behaviour.
+// Transactional container semantics: TArray slot independence, TMap
+// bucket-granular copy-on-write behaviour, and TLog's stable id -> box index.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <latch>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,6 +179,92 @@ TEST(TMapTest, NestedChildrenPopulateMap) {
   stm.run_top([&](Tx& tx) {
     for (int k = 0; k < 8; ++k) EXPECT_EQ(map.get(tx, k).value(), k + 100);
   });
+}
+
+// ---- TLog -------------------------------------------------------------------
+
+TEST(TLogTest, SegmentEdgesMapToDistinctStableBoxes) {
+  TLog<int> log;
+  // First and last ids of segments 0, 1 and 2, and one deep in segment 10.
+  const std::array<int, 6> ids{1, 64, 65, 192, 193, 100'000};
+  std::set<const VBox<int>*> distinct;
+  std::vector<const VBox<int>*> first_touch;
+  for (int id : ids) {
+    first_touch.push_back(&log.box(id));
+    distinct.insert(first_touch.back());
+  }
+  EXPECT_EQ(distinct.size(), ids.size());
+  // Neighbours in the same segments and a fresh segment change nothing.
+  (void)log.box(2);
+  (void)log.box(500);
+  (void)log.box(1'000);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(&log.box(ids[i]), first_touch[i]) << "id " << ids[i];
+  }
+  EXPECT_THROW((void)log.box(0), std::out_of_range);
+  EXPECT_THROW((void)log.box(-3), std::out_of_range);
+}
+
+TEST(TLogTest, RacingFirstTouchesShareOneSegment) {
+  // Four threads released together touch every id of segments 0..5, each
+  // fresh, in the same order; every thread must see the same box per id.
+  constexpr int kThreads = 4;
+  constexpr int kIds = 4'032;  // ids 1..4032 span segments 0..5 exactly
+  TLog<int> log;
+  std::latch start{kThreads};
+  std::array<std::vector<const VBox<int>*>, kThreads> seen;
+  std::vector<std::jthread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int id = 1; id <= kIds; ++id) seen[t].push_back(&log.box(id));
+    });
+  }
+  threads.clear();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  EXPECT_EQ(std::set<const VBox<int>*>(seen[0].begin(), seen[0].end()).size(),
+            static_cast<std::size_t>(kIds));
+}
+
+TEST(TLogTest, ReadOfUncommittedIdThrows) {
+  Stm stm{cfg()};
+  TLog<int> log;
+  EXPECT_THROW(stm.run_top([&](Tx& tx) { (void)log.read(tx, 5); }),
+               std::logic_error);
+  // A write that aborted leaves the id uncommitted.
+  EXPECT_THROW(stm.run_top([&](Tx& tx) {
+    log.write(tx, 5, 50);
+    throw std::runtime_error{"abort"};
+  }),
+               std::runtime_error);
+  EXPECT_THROW(stm.run_top([&](Tx& tx) { (void)log.read(tx, 5); }),
+               std::logic_error);
+}
+
+TEST(TLogTest, WriteCommitReadRoundTrip) {
+  Stm stm{cfg()};
+  TLog<std::string> log;
+  stm.run_top([&](Tx& tx) {
+    log.write(tx, 1, "top");
+    EXPECT_EQ(log.read(tx, 1), "top");
+  });
+  stm.run_top([&](Tx& tx) {
+    std::vector<std::function<void(Tx&)>> kids;
+    for (int id = 2; id <= 4; ++id) {
+      kids.emplace_back([&log, id](Tx& child) {
+        log.write(child, id, "child " + std::to_string(id));
+      });
+    }
+    tx.run_children(std::move(kids));
+    EXPECT_EQ(log.read(tx, 3), "child 3");
+  });
+  std::string seen_by_child;
+  stm.run_top([&](Tx& tx) {
+    EXPECT_EQ(log.read(tx, 1), "top");
+    tx.run_children({[&](Tx& child) { seen_by_child = log.read(child, 4); }});
+  });
+  EXPECT_EQ(seen_by_child, "child 4");
+  EXPECT_EQ(log.box(2).peek(), "child 2");
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 // under concurrent execution at various (t, c) settings.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <functional>
-#include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "util/failpoint.hpp"
 #include "workloads/array_bench.hpp"
 #include "workloads/tpcc.hpp"
 #include "workloads/vacation.hpp"
@@ -58,39 +61,54 @@ TEST(ArrayWorkload, ChecksumMatchesUpdateCounter) {
   EXPECT_EQ(stm.stats().top_commits, 45u);
 }
 
-/// Runs `per_thread(round, thread)` on 4 threads released together, round
-/// after round, until the STM has counted a top-level abort or `max_rounds`
-/// ran; returns the number of rounds. A transaction takes microseconds, less
-/// than starting a thread, and on a loaded machine one round's threads may
-/// still run one after another, so overlap is retried rather than assumed.
-int run_until_abort(stm::Stm& stm, int max_rounds,
-                    const std::function<void(int, int)>& per_thread) {
-  int rounds = 0;
-  while (rounds < max_rounds && stm.stats().top_aborts == 0) {
-    std::latch start{4};
-    std::vector<std::jthread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t] {
-        start.arrive_and_wait();
-        per_thread(rounds, t);
-      });
+/// Forces real top-level conflicts between the workload's own transactions
+/// instead of hoping racing threads overlap (on a loaded machine they may run
+/// one after another). Holds the commit mutex while `threads` threads each
+/// run `per_thread(thread)`, and opens it once each thread's first
+/// transaction has run its body and waits to commit — counted at the
+/// stm.commit.validate failpoint, armed as a zero delay so it only counts.
+/// Every one of those bodies took its snapshot before any of them committed,
+/// so each committer after the first fails validation on the rows an earlier
+/// one wrote. Returns false if the transactions did not all arrive within
+/// 30 s; the mutex is released either way.
+bool force_top_level_conflicts(stm::Stm& stm, int threads,
+                               const std::function<void(int)>& per_thread) {
+  auto& failpoints = util::FailpointRegistry::instance();
+  const std::string site = "stm.commit.validate";
+  failpoints.arm(site, util::FailpointSpec{util::FailpointMode::kDelay});
+  const std::uint64_t before = failpoints.fire_count(site);
+  const auto all_arrived = [&] {
+    return failpoints.fire_count(site) - before >= static_cast<std::uint64_t>(threads);
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{30};
+  bool arrived = false;
+  std::vector<std::jthread> workers;
+  {
+    const auto held = stm.commit_manager().lock_exclusive();
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&per_thread, t] { per_thread(t); });
     }
-    threads.clear();
-    ++rounds;
+    while (!all_arrived() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    arrived = all_arrived();
   }
-  return rounds;
+  workers.clear();
+  failpoints.disarm(site);
+  return arrived;
 }
 
 TEST(ArrayWorkload, HighUpdateFractionCausesTopLevelConflicts) {
+  if (!util::FailpointRegistry::compiled_in()) GTEST_SKIP();
   stm::Stm stm{cfg(4, 1)};
   ArrayConfig acfg;
   acfg.array_size = 32;
   acfg.update_fraction = 0.9;
   ArrayBenchmark bench{stm, acfg};
-  run_until_abort(stm, 20, [&](int round, int t) {
-    util::Rng rng{static_cast<std::uint64_t>(20 + 4 * round + t)};
+  EXPECT_TRUE(force_top_level_conflicts(stm, 4, [&](int t) {
+    util::Rng rng{static_cast<std::uint64_t>(20 + t)};
     bench.run_many(50, rng);
-  });
+  }));
   EXPECT_EQ(bench.checksum(), bench.committed_updates());
   EXPECT_GT(stm.stats().top_aborts, 0u);  // full-array scans must collide
 }
@@ -323,6 +341,7 @@ TEST(TpccWorkload, ConcurrentMixedLoadStaysConsistent) {
 TEST(TpccWorkload, SingleWarehouseIsHighContention) {
   // One warehouse, one district: every new-order serializes on the district
   // row; concurrent execution must produce aborts yet keep order ids dense.
+  if (!util::FailpointRegistry::compiled_in()) GTEST_SKIP();
   stm::Stm stm{cfg(4, 2)};
   TpccConfig tcfg;
   tcfg.warehouses = 1;
@@ -331,13 +350,38 @@ TEST(TpccWorkload, SingleWarehouseIsHighContention) {
   tcfg.new_order_fraction = 1.0;
   tcfg.payment_fraction = 0.0;
   TpccBenchmark bench{stm, tcfg};
-  const int rounds = run_until_abort(stm, 20, [&](int round, int t) {
-    util::Rng rng{static_cast<std::uint64_t>(70 + 4 * round + t)};
+  EXPECT_TRUE(force_top_level_conflicts(stm, 4, [&](int t) {
+    util::Rng rng{static_cast<std::uint64_t>(70 + t)};
     for (int i = 0; i < 25; ++i) (void)bench.new_order(0, 0, 0, rng);
-  });
-  EXPECT_EQ(bench.new_orders_committed(), 100 * rounds);
+  }));
+  EXPECT_EQ(bench.new_orders_committed(), 100);
   EXPECT_TRUE(bench.verify_consistency());
   EXPECT_GT(stm.stats().top_aborts, 0u);
+}
+
+TEST(TpccWorkload, OrderIdsPastSixteenBitsStayInTheirDistrict) {
+  // Order ids have no width limit per district: order 65,536 of district 0
+  // belongs to district 0, not to district 1 as order 0.
+  stm::Stm stm{cfg(1, 1)};
+  TpccConfig tcfg;
+  tcfg.warehouses = 1;
+  tcfg.districts_per_warehouse = 2;
+  tcfg.items = 50;
+  TpccBenchmark bench{stm, tcfg};
+  util::Rng rng{23};
+  constexpr int kOrders = 65'600;
+  for (int i = 0; i < kOrders; ++i) {
+    (void)bench.new_order(0, 0, i % static_cast<int>(tcfg.customers_per_district), rng);
+  }
+  EXPECT_EQ(bench.new_orders_committed(), kOrders);
+  EXPECT_TRUE(bench.verify_consistency());
+  // District 1 still has zero orders: none to report, count or deliver.
+  for (int c = 0; c < static_cast<int>(tcfg.customers_per_district); ++c) {
+    EXPECT_EQ(bench.order_status(0, 1, c), 0);
+  }
+  EXPECT_EQ(bench.stock_level(0, 1, /*threshold=*/2000), 0);
+  EXPECT_EQ(bench.delivery(0), 1);
+  EXPECT_TRUE(bench.verify_consistency());
 }
 
 // Property sweep: invariants hold across (t, c) settings for all three
