@@ -1,6 +1,6 @@
 // router_bench: what does the routing hop cost, and what does the tier buy?
 //
-// Two questions, two tables, all in one process over loopback sockets:
+// Three questions, three tables, all in one process over loopback sockets:
 //
 //  1. Hop cost — the same open-loop load is run twice against the same
 //     single shard: once straight at the shard's NetServer, once through a
@@ -15,10 +15,25 @@
 //     actually scaling admission capacity, with the per-shard decode counts
 //     as the balance check.
 //
-// Handlers are deliberately near-no-op (hop table) and fixed-sleep (scaling
-// table): the bench measures the routing tier, not the STM under it.
+//  3. Capacity — the hop table's paths again, closed loop: 16 connections,
+//     each sending its next request as soon as the last one answered. Every
+//     thread stays busy, so the per-request counts below compare the wire
+//     path at saturation rather than how often an idle thread is woken.
+//
+// Handlers are deliberately near-no-op (hop and capacity tables) and
+// fixed-sleep (scaling table): the bench measures the routing tier, not
+// the STM under it.
+//
+// Every table also prints two counts for the measured phase, which do not
+// swing with host speed the way latency does: socket writes per response
+// for each server ("w/resp"; below 1 when responses share a send), and
+// voluntary context switches per sent request across the whole process
+// ("nvcsw/req", from getrusage). In the open-loop tables nvcsw/req mostly
+// counts wake-ups of threads that went idle between requests.
 //
 // Usage: bench/router_bench [rate] [duration_s] [connections] [max_shards]
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
@@ -94,14 +109,44 @@ net::NetLoadParams load_params(const Params& p, std::uint16_t port,
 
 std::string fmt_ms(double seconds) { return util::fmt_double(seconds * 1e3, 3); }
 
+/// Voluntary context switches of every thread of this process so far.
+std::int64_t voluntary_switches() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_nvcsw;
+}
+
+/// Socket writes per written response of one server between two reports.
+std::string writes_per_response(const net::NetServerReport& before,
+                                const net::NetServerReport& after) {
+  const std::uint64_t responses =
+      after.responses_written - before.responses_written;
+  if (responses == 0) return "-";
+  return util::fmt_double(static_cast<double>(after.socket_writes -
+                                              before.socket_writes) /
+                              static_cast<double>(responses),
+                          2);
+}
+
+std::string switches_per_request(std::int64_t before, std::int64_t after,
+                                 const net::NetLoadResult& r) {
+  return util::fmt_double(static_cast<double>(after - before) /
+                              static_cast<double>(std::max<std::uint64_t>(
+                                  r.sent, 1)),
+                          2);
+}
+
+std::string served_per_second(const net::NetLoadResult& r) {
+  return util::fmt_double(
+      static_cast<double>(r.ok) / std::max(r.duration, 1e-9), 0);
+}
+
 void add_latency_row(util::TextTable& table, const std::string& name,
-                     const net::NetLoadResult& r) {
-  table.add_row({name,
-                 util::fmt_double(static_cast<double>(r.ok) /
-                                      std::max(r.duration, 1e-9),
-                                  0),
+                     const net::NetLoadResult& r, const std::string& shard_w,
+                     const std::string& router_w, const std::string& nvcsw) {
+  table.add_row({name, served_per_second(r),
                  fmt_ms(r.latency.p50), fmt_ms(r.latency.p95),
-                 fmt_ms(r.latency.p99)});
+                 fmt_ms(r.latency.p99), shard_w, router_w, nvcsw});
 }
 
 router::RouterConfig router_config() {
@@ -130,18 +175,32 @@ int main(int argc, char** argv) {
   std::cout << "hop cost: open loop @ " << util::fmt_double(p.rate, 0)
             << " req/s for " << util::fmt_double(p.duration, 1) << "s, "
             << p.connections << " connections, near-no-op handler\n";
-  util::TextTable hop{{"path", "served/s", "p50(ms)", "p95(ms)", "p99(ms)"}};
+  util::TextTable hop{{"path", "served/s", "p50(ms)", "p95(ms)", "p99(ms)",
+                       "shard w/resp", "rtr w/resp", "nvcsw/req"}};
   {
     Shard shard(p, noop);
+    auto shard_before = shard.server.report();
+    auto switches_before = voluntary_switches();
     const auto direct =
         net::run_netload(load_params(p, shard.server.port(), 8));
-    add_latency_row(hop, "direct", direct);
+    add_latency_row(hop, "direct", direct,
+                    writes_per_response(shard_before, shard.server.report()),
+                    "-",
+                    switches_per_request(switches_before,
+                                         voluntary_switches(), direct));
 
     router::Router router(
         {router::ShardAddress{0, "127.0.0.1", shard.server.port()}},
         router_config());
+    shard_before = shard.server.report();
+    const auto router_before = router.server_report();
+    switches_before = voluntary_switches();
     const auto via = net::run_netload(load_params(p, router.port(), 8));
-    add_latency_row(hop, "via router", via);
+    add_latency_row(
+        hop, "via router", via,
+        writes_per_response(shard_before, shard.server.report()),
+        writes_per_response(router_before, router.server_report()),
+        switches_per_request(switches_before, voluntary_switches(), via));
     router.shutdown();
   }
   hop.print(std::cout);
@@ -151,8 +210,9 @@ int main(int argc, char** argv) {
             << " req/s, 64 tenants, 1 ms handler (" << p.workers
             << " workers/shard => ~" << p.workers * 1000
             << " req/s capacity per shard)\n";
-  util::TextTable scaling{
-      {"shards", "offered/s", "served/s", "shed", "shed@rtr", "unanswered"}};
+  util::TextTable scaling{{"shards", "offered/s", "served/s", "shed",
+                           "shed@rtr", "unanswered", "shard w/resp",
+                           "rtr w/resp", "nvcsw/req"}};
   for (std::size_t count = 1; count <= p.max_shards; count *= 2) {
     std::vector<std::unique_ptr<Shard>> shards;
     std::vector<router::ShardAddress> addresses;
@@ -163,7 +223,22 @@ int main(int argc, char** argv) {
           shards.back()->server.port()});
     }
     router::Router router(addresses, router_config());
+    std::vector<net::NetServerReport> shards_before;
+    for (const auto& shard : shards) {
+      shards_before.push_back(shard->server.report());
+    }
+    const auto router_before = router.server_report();
+    const auto switches_before = voluntary_switches();
     const auto result = net::run_netload(load_params(p, router.port(), 64));
+    const auto switches_after = voluntary_switches();
+    const std::string router_w =
+        writes_per_response(router_before, router.server_report());
+    std::string shard_w;
+    for (std::size_t s = 0; s < count; ++s) {
+      if (s > 0) shard_w += "/";
+      shard_w += writes_per_response(shards_before[s],
+                                     shards[s]->server.report());
+    }
     router.shutdown();
     scaling.add_row(
         {std::to_string(count),
@@ -176,8 +251,45 @@ int main(int argc, char** argv) {
          util::fmt_percent(static_cast<double>(result.shed) /
                            std::max<std::uint64_t>(result.sent, 1)),
          std::to_string(result.shed_router),
-         std::to_string(result.unanswered)});
+         std::to_string(result.unanswered), shard_w, router_w,
+         switches_per_request(switches_before, switches_after, result)});
   }
   scaling.print(std::cout);
+
+  // ---- Table 3: capacity (closed loop, near-no-op handler) --------------
+  std::cout << "\ncapacity: closed loop, 16 connections, no think time, "
+               "near-no-op handler\n";
+  util::TextTable capacity{
+      {"path", "served/s", "shard w/resp", "rtr w/resp", "nvcsw/req"}};
+  {
+    Shard shard(p, noop);
+    auto closed = load_params(p, shard.server.port(), 8);
+    closed.closed_loop = true;
+    closed.connections = 16;
+    closed.think_time = 0.0;
+    auto shard_before = shard.server.report();
+    auto switches_before = voluntary_switches();
+    const auto direct = net::run_netload(closed);
+    capacity.add_row(
+        {"direct", served_per_second(direct),
+         writes_per_response(shard_before, shard.server.report()), "-",
+         switches_per_request(switches_before, voluntary_switches(), direct)});
+
+    router::Router router(
+        {router::ShardAddress{0, "127.0.0.1", shard.server.port()}},
+        router_config());
+    closed.port = router.port();
+    shard_before = shard.server.report();
+    const auto router_before = router.server_report();
+    switches_before = voluntary_switches();
+    const auto via = net::run_netload(closed);
+    capacity.add_row(
+        {"via router", served_per_second(via),
+         writes_per_response(shard_before, shard.server.report()),
+         writes_per_response(router_before, router.server_report()),
+         switches_per_request(switches_before, voluntary_switches(), via)});
+    router.shutdown();
+  }
+  capacity.print(std::cout);
   return 0;
 }

@@ -157,7 +157,8 @@ scripts/run_cluster.sh --smoke --elastic --build build-asan-ubsan
 
 mkdir -p results
 for bench in build/bench/*; do
-  [ -x "$bench" ] || continue
+  # Executable files only: build/bench also holds CMake's directories.
+  [ -f "$bench" ] && [ -x "$bench" ] || continue
   name=$(basename "$bench")
   echo "== $name =="
   if [ "$name" = micro_costs ]; then

@@ -229,20 +229,24 @@ bool Client::read_batch(double timeout_seconds) {
       std::chrono::duration<double>(std::max(timeout_seconds, 0.0));
   for (;;) {
     if (closed_.load(std::memory_order_relaxed) || fd_ < 0) return false;
-    const double remaining = seconds_until(deadline);
-    if (remaining <= 0.0) return false;
-    pollfd pfd{fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, static_cast<int>(remaining * 1e3) + 1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      closed_.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    if (rc == 0) return false;  // timeout
+    // Try the socket first: when bytes are already waiting (a batch of
+    // responses, or a reply that beat us here) the poll would only say so.
     std::array<std::uint8_t, 16384> buf;
-    const ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+    const ssize_t n = ::recv(fd_, buf.data(), buf.size(), MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      const double remaining = seconds_until(deadline);
+      if (remaining <= 0.0) return false;
+      pollfd pfd{fd_, POLLIN, 0};
+      const int rc = ::poll(&pfd, 1, static_cast<int>(remaining * 1e3) + 1);
+      if (rc < 0 && errno != EINTR) {
+        closed_.store(true, std::memory_order_relaxed);
+        return false;
+      }
+      if (rc == 0) return false;  // timeout
+      continue;
+    }
     if (n <= 0) {
-      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+      if (n < 0 && errno == EINTR) continue;
       closed_.store(true, std::memory_order_relaxed);
       return false;
     }

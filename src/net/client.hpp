@@ -121,8 +121,9 @@ class Client {
   /// Reads until ≥1 response is buffered or the deadline passes.
   bool fill_buffer(double timeout_seconds);
 
-  /// One poll+recv+decode round; true after any successfully processed
-  /// batch (which may have buffered only stats or the handshake ack).
+  /// One recv+decode round, polling only while the socket is empty; true
+  /// after any successfully processed batch (which may have buffered only
+  /// stats or the handshake ack).
   bool read_batch(double timeout_seconds);
 
   int fd_ = -1;

@@ -76,12 +76,12 @@ void EventLoop::run() {
       const int fd = events[static_cast<std::size_t>(i)].data.fd;
       const std::uint32_t mask = events[static_cast<std::size_t>(i)].events;
       if (fd == wake_fd_) {
-        drain_eventfd();
-        run_posted_tasks();
+        drain_eventfd();  // the tasks run at the end of this round
       } else if (fd == timer_fd_) {
+        // One read resets the expiration count.
         std::uint64_t expirations = 0;
-        while (::read(timer_fd_, &expirations, sizeof expirations) > 0) {
-        }
+        [[maybe_unused]] const ssize_t r =
+            ::read(timer_fd_, &expirations, sizeof expirations);
         fire_due_timers();
       } else {
         // Look the handler up per event: an earlier handler in this batch
@@ -93,6 +93,10 @@ void EventLoop::run() {
         (*handler)(mask);
       }
     }
+    // End of round: whatever the handlers, timers or foreign threads posted
+    // runs before the next epoll_wait. This is what lets post() skip the
+    // eventfd write from the loop thread and on a non-empty queue.
+    run_posted_tasks();
   }
   // Drain the final batch of posted tasks so a stop() issued right after a
   // post() never strands work (drain() relies on this ordering too).
@@ -107,10 +111,16 @@ void EventLoop::stop() {
 }
 
 void EventLoop::post(Task task) {
+  bool was_empty = false;
   {
     std::scoped_lock lock{task_mutex_};
+    was_empty = tasks_.empty();
     tasks_.push_back(std::move(task));
   }
+  // A non-empty queue already has a wake-up on its way (or the loop is in
+  // the round that will drain it), and the loop thread drains at the end of
+  // its own round; only a foreign post onto an empty queue must wake it.
+  if (!was_empty || in_loop_thread()) return;
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
@@ -124,17 +134,23 @@ void EventLoop::drain() {
 
 void EventLoop::run_posted_tasks() {
   std::vector<Task> batch;
-  {
-    std::scoped_lock lock{task_mutex_};
-    batch.swap(tasks_);
+  for (;;) {
+    {
+      std::scoped_lock lock{task_mutex_};
+      // The empty check and the swap share the lock a poster takes to see
+      // "empty": a post after this check writes the eventfd.
+      if (tasks_.empty()) return;
+      batch.swap(tasks_);
+    }
+    for (Task& task : batch) task();
+    batch.clear();
   }
-  for (Task& task : batch) task();
 }
 
 void EventLoop::drain_eventfd() {
+  // One read resets the eventfd counter, however many writes fed it.
   std::uint64_t value = 0;
-  while (::read(wake_fd_, &value, sizeof value) > 0) {
-  }
+  [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &value, sizeof value);
 }
 
 void EventLoop::add_fd(int fd, std::uint32_t events, FdHandler handler) {

@@ -3,10 +3,13 @@
 // One loop instance owns an epoll set plus two kernel primitives that make
 // it complete without polling:
 //
-//   * an eventfd wakeup — post() enqueues a closure from any thread, writes
-//     the eventfd, and the loop executes it on its own thread (this is the
-//     only cross-thread door; fd registration and I/O callbacks are loop-
-//     thread affairs);
+//   * an eventfd wakeup — post() enqueues a closure from any thread and the
+//     loop executes it on its own thread (this is the only cross-thread
+//     door; fd registration and I/O callbacks are loop-thread affairs).
+//     Only the post that makes the task queue non-empty writes the eventfd,
+//     and a post from the loop thread never does: every epoll round ends by
+//     running posted tasks until the queue is empty, so the loop never
+//     sleeps on a queued task;
 //   * a timerfd — add_timer() schedules one-shot callbacks on a min-heap,
 //     and the timerfd is re-armed to the earliest deadline so epoll_wait
 //     never needs a guessed timeout.
@@ -51,10 +54,11 @@ class EventLoop {
   /// draining already-posted tasks. Safe from any thread.
   void stop();
 
-  /// Enqueues `task` for execution on the loop thread. Safe from any
-  /// thread, including the loop thread itself (runs next round, no
-  /// recursion). Tasks posted after stop() but before run() returns still
-  /// execute; tasks posted later are discarded when the loop is destroyed.
+  /// Enqueues `task` for execution on the loop thread; tasks run in post
+  /// order. Safe from any thread, including the loop thread itself (no
+  /// recursion: the task runs before the loop next sleeps). Tasks posted
+  /// after stop() but before run() returns still execute; tasks posted
+  /// later are discarded when the loop is destroyed.
   void post(Task task);
 
   /// Registers `fd` with the given epoll interest mask. Loop thread only
@@ -93,6 +97,8 @@ class EventLoop {
     }
   };
 
+  /// Runs posted tasks, including those they post, until the queue is
+  /// empty.
   void run_posted_tasks();
   void fire_due_timers();
   void rearm_timerfd();

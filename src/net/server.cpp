@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -138,6 +139,7 @@ void NetServer::on_acceptable() {
         close_connection(id, CloseReason::kProtocol);
       }
     });
+    conn->interest = kEpollIn;
     connections_.emplace(id, std::move(conn));
     accepted_.fetch_add(1, std::memory_order_relaxed);
     open_connections_.store(connections_.size(), std::memory_order_relaxed);
@@ -183,6 +185,10 @@ bool NetServer::on_readable(std::uint64_t conn_id) {
     if (n > 0) {
       conn.decoder.feed(buf.data(), static_cast<std::size_t>(n));
       if (!process_frames(conn_id)) return false;
+      // A short read emptied the socket: skip the read that would only
+      // return EAGAIN. Level-triggered epoll reports the fd again if more
+      // bytes arrive.
+      if (static_cast<std::size_t>(n) < buf.size()) return true;
       continue;
     }
     if (n == 0) {  // orderly peer close
@@ -220,7 +226,7 @@ bool NetServer::process_frames(std::uint64_t conn_id) {
       std::vector<std::uint8_t> bytes;
       encode_hello_ack(bytes, ack);
       // A failed write closes (and frees) the connection; `conn` is dead.
-      const bool alive = send_bytes(conn, bytes, /*is_response=*/false);
+      const bool alive = send_bytes(conn, bytes);
       if (!ok) {
         // Flush the NAK best-effort, then drop: a version-mismatched peer
         // gets a definite answer instead of a silent reset.
@@ -240,7 +246,7 @@ bool NetServer::process_frames(std::uint64_t conn_id) {
       std::vector<std::uint8_t> bytes;
       encode_stats(bytes, dispatcher_->stats());
       // Stats frames ride outside the request/response ledger.
-      if (!send_bytes(conn, bytes, /*is_response=*/false)) return false;
+      if (!send_bytes(conn, bytes)) return false;
       continue;
     }
     if (frame->type == FrameType::kMembershipRequest) {
@@ -255,7 +261,7 @@ bool NetServer::process_frames(std::uint64_t conn_id) {
       encode_membership(bytes, dispatcher_->membership(*request));
       // Membership frames ride outside the request/response ledger, like
       // stats: they are control plane, not dispatched requests.
-      if (!send_bytes(conn, bytes, /*is_response=*/false)) return false;
+      if (!send_bytes(conn, bytes)) return false;
       continue;
     }
     if (frame->type != FrameType::kRequest) {
@@ -277,7 +283,7 @@ void NetServer::handle_request(Connection& conn, RequestFrame frame) {
   const std::uint64_t request_id = frame.request_id;
   // The dispatcher calls respond exactly once, from any thread — the
   // ledger stays exact because respond always counts responses_enqueued
-  // and deliver() accounts written-vs-dropped on the loop.
+  // and drain_outbox() accounts written-vs-dropped on the loop.
   //
   // Accept-stage cost: dispatch() runs admission synchronously on the loop
   // thread (the engine path is submit(); a worker picks the request up
@@ -295,43 +301,67 @@ void NetServer::respond(std::uint64_t conn_id, std::uint64_t request_id,
                         ResponseFrame response) {
   // Dispatcher context (engine worker, router io thread, or the loop
   // itself): encode here (cheap, no shared state) and hand the bytes to
-  // the loop. Workers never touch the socket — a stalled or dead
-  // connection cannot stall them.
+  // the loop through the outbox. Workers never touch the socket — a
+  // stalled or dead connection cannot stall them.
   response.request_id = request_id;
   if (response.status == Status::kShed || response.status == Status::kClosing) {
     shed_responses_.fetch_add(1, std::memory_order_relaxed);
   }
   std::vector<std::uint8_t> bytes;
   encode_response(bytes, response);
-  responses_enqueued_.fetch_add(1, std::memory_order_relaxed);
   // Reply-stage stamp: from here (the worker finished; the response exists
   // as bytes) to the moment the last byte is flushed to the socket.
   const double posted_at = mono_seconds();
-  loop_.post([this, conn_id, posted_at, bytes = std::move(bytes)]() mutable {
-    deliver(conn_id, std::move(bytes), posted_at);
-  });
-}
-
-void NetServer::deliver(std::uint64_t conn_id, std::vector<std::uint8_t> bytes,
-                        double posted_at) {
-  auto it = connections_.find(conn_id);
-  if (it == connections_.end()) {
-    // Mid-request disconnect: the connection died while its request was in
-    // flight. The response is accounted and dropped — never a crash/leak.
-    responses_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  bool was_empty = false;
+  {
+    std::scoped_lock lock{outbox_mutex_};
+    was_empty = outbox_.empty();
+    outbox_.push_back(Outgoing{conn_id, std::move(bytes), posted_at});
+    // Counted with the push: once a reader sees it, the response is in the
+    // outbox.
+    responses_enqueued_.fetch_add(1, std::memory_order_relaxed);
   }
-  send_bytes(*it->second, bytes, /*is_response=*/true, posted_at);
+  // A non-empty outbox has not been taken yet: the respond that made it
+  // non-empty posts (or has posted) the drain task that carries this
+  // response too. Every post happens inside a respond, so a dispatcher
+  // drain that waits for every respond to return also orders the drain
+  // task ahead of shutdown's loop barrier.
+  if (was_empty) loop_.post([this] { drain_outbox(); });
 }
 
-bool NetServer::send_bytes(Connection& conn, const std::vector<std::uint8_t>& bytes,
-                           bool is_response, double posted_at) {
+void NetServer::drain_outbox() {
+  std::vector<Outgoing> batch;
+  {
+    std::scoped_lock lock{outbox_mutex_};
+    batch.swap(outbox_);
+  }
+  std::vector<std::uint64_t> touched;
+  for (Outgoing& out : batch) {
+    auto it = connections_.find(out.conn_id);
+    if (it == connections_.end()) {
+      // Mid-request disconnect: the connection died while its request was
+      // in flight. The response is accounted and dropped — never a
+      // crash/leak.
+      responses_dropped_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    Connection& conn = *it->second;
+    conn.outbuf.insert(conn.outbuf.end(), out.bytes.begin(), out.bytes.end());
+    conn.bytes_queued += out.bytes.size();
+    conn.pending.push_back(PendingResponse{conn.bytes_queued, out.posted_at});
+    touched.push_back(out.conn_id);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  // One flush per connection; a flush that closes its connection counts
+  // the responses still pending there as dropped.
+  for (const std::uint64_t conn_id : touched) (void)flush(conn_id);
+}
+
+bool NetServer::send_bytes(Connection& conn,
+                           const std::vector<std::uint8_t>& bytes) {
   conn.outbuf.insert(conn.outbuf.end(), bytes.begin(), bytes.end());
   conn.bytes_queued += bytes.size();
-  if (is_response) {
-    conn.response_ends.push_back(conn.bytes_queued);
-    conn.response_posted.push_back(posted_at);
-  }
   return flush(conn.id);
 }
 
@@ -352,14 +382,19 @@ bool NetServer::flush(std::uint64_t conn_id) {
         ::send(conn.fd, conn.outbuf.data() + conn.outbuf_offset,
                conn.outbuf.size() - conn.outbuf_offset, MSG_NOSIGNAL);
     if (n > 0) {
+      socket_writes_.fetch_add(1, std::memory_order_seq_cst);
       conn.outbuf_offset += static_cast<std::size_t>(n);
       conn.bytes_flushed += static_cast<std::uint64_t>(n);
-      while (!conn.response_ends.empty() &&
-             conn.response_ends.front() <= conn.bytes_flushed) {
-        conn.response_ends.erase(conn.response_ends.begin());
-        reply_latency_.record(mono_seconds() - conn.response_posted.front());
-        conn.response_posted.erase(conn.response_posted.begin());
-        responses_written_.fetch_add(1, std::memory_order_relaxed);
+      std::uint64_t retired = 0;
+      const double now = conn.pending.empty() ? 0.0 : mono_seconds();
+      while (!conn.pending.empty() &&
+             conn.pending.front().end <= conn.bytes_flushed) {
+        reply_latency_.record(now - conn.pending.front().posted_at);
+        conn.pending.pop_front();
+        ++retired;
+      }
+      if (retired > 0) {
+        responses_written_.fetch_add(retired, std::memory_order_relaxed);
       }
       continue;
     }
@@ -395,7 +430,9 @@ void NetServer::update_interest(Connection& conn) {
   std::uint32_t events = 0;
   if (!conn.reading_paused && !conn.draining) events |= kEpollIn;
   if (pending > 0) events |= kEpollOut;
+  if (events == conn.interest) return;
   loop_.modify_fd(conn.fd, events);
+  conn.interest = events;
 }
 
 void NetServer::close_connection(std::uint64_t conn_id, CloseReason reason) {
@@ -405,8 +442,7 @@ void NetServer::close_connection(std::uint64_t conn_id, CloseReason reason) {
   loop_.cancel_timer(conn.handshake_timer);
   // Responses parked in the buffer (or still unsent past the flushed mark)
   // die with the connection — counted, never leaked.
-  responses_dropped_.fetch_add(conn.response_ends.size(),
-                               std::memory_order_relaxed);
+  responses_dropped_.fetch_add(conn.pending.size(), std::memory_order_relaxed);
   switch (reason) {
     case CloseReason::kPeer:
       disconnects_.fetch_add(1, std::memory_order_relaxed);
@@ -452,8 +488,8 @@ void NetServer::shutdown() {
   loop_.drain();
 
   // Phase 2: drain the dispatcher — on return every in-flight dispatch has
-  // responded, and therefore every response has been posted to the loop.
-  // Phase 3 makes the loop deliver them.
+  // responded, and therefore every response sits in the outbox behind a
+  // posted drain task. Phase 3 makes the loop run that task.
   dispatcher_->drain();
   loop_.drain();
 
@@ -496,6 +532,7 @@ NetServerReport NetServer::report() const {
   r.responses_dropped = responses_dropped_.load(std::memory_order_relaxed);
   r.shed_responses = shed_responses_.load(std::memory_order_relaxed);
   r.backpressure_pauses = backpressure_pauses_.load(std::memory_order_relaxed);
+  r.socket_writes = socket_writes_.load(std::memory_order_seq_cst);
   r.open_connections = open_connections_.load(std::memory_order_relaxed);
   r.accept = accept_latency_.summary();
   r.reply = reply_latency_.summary();

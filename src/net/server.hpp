@@ -2,15 +2,23 @@
 // NetServer — the socket acceptor that puts the serving engine on the wire.
 // A single epoll EventLoop (own thread) owns the listening socket and every
 // connection; decoded Request frames are bridged into the existing
-// ServeEngine admission path, and the engine's completion callback posts the
-// response back onto the loop so engine workers never block on a socket.
+// ServeEngine admission path, and the engine's completion callback hands the
+// response to the loop through the outbox so engine workers never block on a
+// socket.
 //
 // Dataflow (one request):
 //   client ──frame──▸ Connection::on_readable ─▸ FrameDecoder
 //        ─▸ ServeEngine::submit            (admission: shed ⇒ kShed + hint)
 //        ─▸ worker runs the PN transaction ─▸ on_complete(RequestResult)
-//        ─▸ loop_.post(deliver)            (worker returns immediately)
-//        ─▸ Connection outbound buffer ──write/EPOLLOUT──▸ client
+//        ─▸ respond: append to the outbox  (worker returns immediately)
+//        ─▸ loop: drain_outbox             (every queued response)
+//        ─▸ Connection outbound buffer ──one send/EPOLLOUT──▸ client
+//
+// Batching: only the respond that finds the outbox empty posts a drain
+// task, and the drain appends every queued response to its connection's
+// buffer before flushing each touched connection once — k responses that
+// complete while the loop is busy cost one loop task and one send per
+// connection, not k of each.
 //
 // Backpressure: each connection's outbound buffer is bounded. While it holds
 // more than `max_outbound_bytes` the server stops reading that connection
@@ -32,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -79,6 +88,7 @@ struct NetServerReport {
   std::uint64_t responses_dropped = 0;  ///< connection died first
   std::uint64_t shed_responses = 0;     ///< kShed/kClosing sent
   std::uint64_t backpressure_pauses = 0;  ///< reads paused on a full outbuf
+  std::uint64_t socket_writes = 0;  ///< send() calls that moved bytes
   std::size_t open_connections = 0;
   /// Wire-stage latency breakdown (the model's WireCosts inputs): accept is
   /// decode→admission verdict (loop-thread dispatch cost per request), reply
@@ -130,22 +140,28 @@ class NetServer {
   [[nodiscard]] NetServerReport report() const;
 
  private:
+  /// One unflushed response in a connection's outbound buffer.
+  struct PendingResponse {
+    /// Cumulative queued-byte mark at which the response ends — how
+    /// responses_written distinguishes fully-sent responses from bytes
+    /// parked in the buffer when the connection dies.
+    std::uint64_t end = 0;
+    /// Monotonic time respond() took it — the reply-stage stamp
+    /// (completion→flushed).
+    double posted_at = 0.0;
+  };
+
   struct Connection {
     int fd = -1;
     std::uint64_t id = 0;
     bool handshaken = false;
     bool reading_paused = false;
     bool draining = false;  ///< shutdown: no further reads, flush only
+    std::uint32_t interest = 0;  ///< epoll mask last registered for fd
     FrameDecoder decoder;
     std::vector<std::uint8_t> outbuf;
     std::size_t outbuf_offset = 0;  ///< flushed prefix of outbuf
-    /// Cumulative queued-byte marks at which each pending response ends —
-    /// how responses_written distinguishes fully-sent responses from bytes
-    /// parked in the buffer when the connection dies.
-    std::vector<std::uint64_t> response_ends;
-    /// Monotonic post time of each pending response, parallel to
-    /// response_ends — the reply-stage stamp (completion→flushed).
-    std::vector<double> response_posted;
+    std::deque<PendingResponse> pending;  ///< oldest first
     std::uint64_t bytes_queued = 0;
     std::uint64_t bytes_flushed = 0;
     EventLoop::TimerId handshake_timer = 0;
@@ -162,17 +178,17 @@ class NetServer {
   [[nodiscard]] bool process_frames(std::uint64_t conn_id);
   void handle_request(Connection& conn, RequestFrame frame);
   /// Dispatcher-side respond path: encodes on the caller's thread (worker,
-  /// router io, or the loop itself) and posts the bytes to the loop.
+  /// router io, or the loop itself) and appends the bytes to the outbox,
+  /// posting drain_outbox only when the outbox was empty.
   void respond(std::uint64_t conn_id, std::uint64_t request_id,
                ResponseFrame response);
-  /// Loop side: appends an encoded response to the connection (if alive).
-  /// `posted_at` is the reply-stage stamp taken in respond().
-  void deliver(std::uint64_t conn_id, std::vector<std::uint8_t> bytes,
-               double posted_at);
+  /// Loop side: appends every queued response to its connection (if alive;
+  /// otherwise counts it dropped), then flushes each touched connection.
+  void drain_outbox();
+  /// Appends a control frame (handshake, stats, membership) and flushes.
   /// Returns false if the write path closed (and freed) the connection —
   /// the caller's `conn` reference is dangling and must not be touched.
-  bool send_bytes(Connection& conn, const std::vector<std::uint8_t>& bytes,
-                  bool is_response, double posted_at = 0.0);
+  bool send_bytes(Connection& conn, const std::vector<std::uint8_t>& bytes);
   bool flush(std::uint64_t conn_id);
   void update_interest(Connection& conn);
   void close_connection(std::uint64_t conn_id, CloseReason reason);
@@ -185,6 +201,16 @@ class NetServer {
   NetServerConfig config_;
 
   EventLoop loop_;
+
+  /// A response on its way from respond() to its connection's buffer.
+  struct Outgoing {
+    std::uint64_t conn_id = 0;
+    std::vector<std::uint8_t> bytes;
+    double posted_at = 0.0;  ///< the reply-stage stamp
+  };
+  std::mutex outbox_mutex_;
+  std::vector<Outgoing> outbox_ AUTOPN_GUARDED_BY(outbox_mutex_);
+
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::uint64_t next_conn_id_ = 1;  ///< loop thread only
@@ -201,6 +227,7 @@ class NetServer {
   std::atomic<std::uint64_t> responses_dropped_{0};
   std::atomic<std::uint64_t> shed_responses_{0};
   std::atomic<std::uint64_t> backpressure_pauses_{0};
+  std::atomic<std::uint64_t> socket_writes_{0};
   std::atomic<std::size_t> open_connections_{0};
   /// Wire-stage histograms: accept_ records on the loop thread only, reply_
   /// on the loop thread at flush time (both recorders are thread-safe).

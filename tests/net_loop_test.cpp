@@ -1,6 +1,8 @@
-// EventLoop reactor tests: cross-thread post() via the eventfd wakeup,
-// loop-thread affinity, one-shot timers (ordering + cancellation) on the
-// timerfd, fd readiness dispatch, and the drain() shutdown barrier.
+// EventLoop reactor tests: cross-thread post() via the eventfd wakeup (and
+// no lost wake-up when only the empty-to-non-empty post writes it), loop-
+// thread posts drained at the end of the round, loop-thread affinity,
+// one-shot timers (ordering + cancellation) on the timerfd, fd readiness
+// dispatch, and the drain() shutdown barrier.
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
@@ -9,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -61,9 +64,64 @@ TEST_F(LoopFixture, PostFromLoopThreadDoesNotDeadlock) {
     outer.store(order.fetch_add(1));
   });
   loop_.drain();
-  loop_.drain();  // second barrier: the nested task ran in a later round
+  // Second barrier: the nested task was queued behind the first barrier's
+  // task, so the first drain() can return before it runs; it still runs
+  // before the loop next sleeps, ahead of this barrier.
+  loop_.drain();
   EXPECT_EQ(outer.load(), 0);
   EXPECT_EQ(inner.load(), 1);
+}
+
+TEST_F(LoopFixture, ForeignPostsToAnIdleLoopNeverLoseTheirWakeUp) {
+  // Only the post that makes the queue non-empty writes the eventfd. Each
+  // round posts from this thread just as the loop goes back to sleep after
+  // the previous task: the wait spins, and a delay of up to ~1000 spins
+  // that cycles with the round sweeps the post across the loop's way from
+  // the task to epoll_wait. A lost wake-up shows as a task that never runs,
+  // caught by the deadline instead of a hang.
+  constexpr int kRounds = 20000;
+  // Shared ownership: after a failed wait the stranded task may still run.
+  const auto ran = std::make_shared<std::atomic<int>>(0);
+  for (int round = 0; round < kRounds; ++round) {
+    volatile int spin = 0;  // volatile: the delay loop is not optimized out
+    while (spin < (round % 128) * 8) spin = spin + 1;
+    loop_.post([ran] { ran->fetch_add(1); });
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (ran->load() != round + 1) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "task of round " << round << " never ran";
+    }
+  }
+}
+
+TEST_F(LoopFixture, PostFromFdHandlerRunsWithoutOtherActivity) {
+  // A loop-thread post writes no eventfd; it relies on the end-of-round
+  // drain. Nothing else wakes the loop here, so without that drain the
+  // task would wait for the next unrelated event forever.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // Shared ownership: after a failed wait the stranded task may still run.
+  const auto ran = std::make_shared<std::atomic<bool>>(false);
+  loop_.post([&] {
+    loop_.add_fd(fds[0], EPOLLIN, [this, ran, fd = fds[0]](std::uint32_t) {
+      char buf[8];
+      [[maybe_unused]] const ssize_t n = ::read(fd, buf, sizeof buf);
+      loop_.post([ran] { ran->store(true); });
+    });
+  });
+  loop_.drain();
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!ran->load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  // On failure the stranded task sits in the queue and a further post may
+  // not wake the loop; return and let TearDown's stop() wake it instead.
+  ASSERT_TRUE(ran->load()) << "task posted from the fd handler never ran";
+  loop_.post([&] { loop_.remove_fd(fds[0]); });
+  loop_.drain();
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST_F(LoopFixture, ManyConcurrentPostersAllExecute) {

@@ -1,9 +1,9 @@
 // NetServer end-to-end tests over loopback: request/response round-trips
 // through the real engine, per-tenant latency surfacing, shed responses with
 // clamped retry-after hints, client deadlines expiring on the wire, slow-
-// reader backpressure, mid-request disconnects, and the deterministic
-// shutdown ledger (requests_decoded == responses_enqueued ==
-// responses_written + responses_dropped).
+// reader backpressure, mid-request disconnects, responses batched into one
+// socket write, and the deterministic shutdown ledger (requests_decoded ==
+// responses_enqueued == responses_written + responses_dropped).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -174,6 +175,76 @@ TEST(NetServer, ClientDeadlineExpiresOnTheWire) {
   EXPECT_EQ(expired, 1);
   h.server.shutdown();
   expect_ledger_exact(h.server.report());
+}
+
+/// Polls `done` every millisecond for up to 5 s; true once it holds.
+template <typename Predicate>
+bool eventually(Predicate done) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+TEST(NetServer, ResponsesCompletedWhileTheLoopIsBusyShareOneWrite) {
+  // One worker completes the requests in admission order. The handler gate
+  // holds them until the loop is blocked, so all 32 responses reach the
+  // outbox before the loop can deliver any of them.
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 64;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  Harness h{cfg, {}, {[opened](util::Rng&) { opened.wait(); }}};
+  auto client = h.connect();
+  constexpr int kResponses = 32;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < kResponses; ++i) {
+    const auto id = client.send(0);
+    ASSERT_TRUE(id.has_value());
+    ids.push_back(*id);
+  }
+  // No ASSERT from here until both the gate and the loop are released: a
+  // held worker or loop would hang shutdown.
+  EXPECT_TRUE(eventually([&] {
+    return h.server.report().requests_decoded ==
+           static_cast<std::uint64_t>(kResponses);
+  }));
+  std::promise<void> blocked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  h.server.loop().post([&blocked, released] {
+    blocked.set_value();
+    released.wait();
+  });
+  blocked.get_future().wait();
+  const std::uint64_t writes_before = h.server.report().socket_writes;
+  gate.set_value();
+  // responses_enqueued counts a response as it enters the outbox.
+  EXPECT_TRUE(eventually([&] {
+    return h.server.report().responses_enqueued ==
+           static_cast<std::uint64_t>(kResponses);
+  }));
+  release.set_value();
+
+  for (int i = 0; i < kResponses; ++i) {
+    const auto response = client.recv(5.0);
+    ASSERT_TRUE(response.has_value()) << "after " << i << " responses";
+    EXPECT_EQ(response->status, Status::kOk);
+    EXPECT_EQ(response->request_id, ids[static_cast<std::size_t>(i)]);
+  }
+
+  // Read the counters after shutdown joined the loop: the loop counts a
+  // send only after it returns, and the client may read the bytes first.
+  // Shutdown itself sends nothing here, as every buffer is already empty.
+  h.server.shutdown();
+  const auto report = h.server.report();
+  EXPECT_EQ(report.socket_writes - writes_before, 1u);
+  EXPECT_EQ(report.requests_decoded, static_cast<std::uint64_t>(kResponses));
+  EXPECT_EQ(report.responses_written, static_cast<std::uint64_t>(kResponses));
+  expect_ledger_exact(report);
 }
 
 TEST(NetServer, MidRequestDisconnectCountsDroppedResponse) {
