@@ -6,7 +6,8 @@
 //     single shard: once straight at the shard's NetServer, once through a
 //     Router fronting it. The client-observed p50/p95/p99 delta is the full
 //     price of the extra tier: one more framing round-trip, the router's
-//     loop dispatch, the pooled-client forward, and the response post back.
+//     loop dispatch, the link's forward, and the response read back on the
+//     same loop.
 //
 //  2. Throughput vs shard count — shards run a fixed-latency handler (1 ms),
 //     so each shard's capacity is workers/1ms and a single shard saturates

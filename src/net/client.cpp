@@ -29,50 +29,65 @@ double seconds_until(TimePoint deadline) {
   return std::chrono::duration<double>(deadline - SteadyClock::now()).count();
 }
 
-/// Bounded-time TCP connect: non-blocking connect + poll(POLLOUT), then
-/// SO_ERROR tells whether the three-way handshake actually succeeded. On
-/// success the fd is switched back to blocking mode. Throws on failure.
-void connect_with_timeout(int fd, const sockaddr_in& addr,
-                          double timeout_seconds) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw std::system_error{errno, std::generic_category(), "fcntl"};
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    if (errno != EINPROGRESS) {
-      throw std::system_error{errno, std::generic_category(), "connect"};
-    }
-    const auto deadline =
-        SteadyClock::now() + std::chrono::duration<double>(timeout_seconds);
-    for (;;) {
-      const double remaining = seconds_until(deadline);
-      if (remaining <= 0.0) {
-        throw std::system_error{ETIMEDOUT, std::generic_category(), "connect"};
-      }
-      pollfd pfd{fd, POLLOUT, 0};
-      const int rc = ::poll(&pfd, 1, static_cast<int>(remaining * 1e3) + 1);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        throw std::system_error{errno, std::generic_category(), "poll"};
-      }
-      if (rc > 0) break;
-    }
-    int err = 0;
-    socklen_t len = sizeof err;
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
-      throw std::system_error{errno, std::generic_category(), "getsockopt"};
-    }
-    if (err != 0) {
-      throw std::system_error{err, std::generic_category(), "connect"};
-    }
-  }
-  if (::fcntl(fd, F_SETFL, flags) < 0) {
-    throw std::system_error{errno, std::generic_category(), "fcntl"};
+/// Waits until a connect started by start_connect makes `fd` writable.
+/// Throws ETIMEDOUT once `timeout_seconds` pass.
+void wait_connected(int fd, double timeout_seconds) {
+  const auto deadline =
+      SteadyClock::now() + std::chrono::duration<double>(timeout_seconds);
+  int rc = 0;
+  do {
+    pollfd pfd{fd, POLLOUT, 0};
+    const double remaining = std::max(seconds_until(deadline), 0.0);
+    rc = ::poll(&pfd, 1, static_cast<int>(remaining * 1e3) + 1);
+  } while (rc < 0 && errno == EINTR);
+  if (rc < 0) throw std::system_error{errno, std::generic_category(), "poll"};
+  if (rc == 0) {
+    throw std::system_error{ETIMEDOUT, std::generic_category(), "connect"};
   }
 }
 
-/// Blocking full-buffer send; false on any I/O error.
+}  // namespace
+
+int start_connect(const std::string& host, std::uint16_t port) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    throw std::system_error{errno, std::generic_category(), "socket"};
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    ::close(fd);
+    throw std::system_error{EINVAL, std::generic_category(), "inet_pton"};
+  }
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+          0 &&
+      errno != EINPROGRESS) {
+    const int saved = errno;
+    ::close(fd);
+    throw std::system_error{saved, std::generic_category(), "connect"};
+  }
+  return fd;
+}
+
+void finish_connect(int fd) {
+  int err = 0;
+  socklen_t len = sizeof err;
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+    throw std::system_error{errno, std::generic_category(), "getsockopt"};
+  }
+  if (err != 0) {
+    throw std::system_error{err, std::generic_category(), "connect"};
+  }
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) < 0) {
+    throw std::system_error{errno, std::generic_category(), "fcntl"};
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
 bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
   std::size_t sent = 0;
   while (sent < size) {
@@ -87,29 +102,18 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-}  // namespace
-
 Client Client::connect(const std::string& host, std::uint16_t port,
                        double timeout_seconds) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    throw std::system_error{errno, std::generic_category(), "socket"};
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::system_error{EINVAL, std::generic_category(), "inet_pton"};
-  }
+  // Bounded-time TCP connect: a dead or firewalled backend fails in bounded
+  // time instead of pinning the caller to the kernel's SYN retry schedule.
+  const int fd = start_connect(host, port);
   try {
-    connect_with_timeout(fd, addr, timeout_seconds);
+    wait_connected(fd, timeout_seconds);
+    finish_connect(fd);
   } catch (...) {
     ::close(fd);
     throw;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
   Client client;
   client.fd_ = fd;
@@ -187,11 +191,6 @@ void Client::close() {
     fd_ = -1;
   }
   closed_.store(true, std::memory_order_relaxed);
-}
-
-void Client::shutdown_socket() {
-  closed_.store(true, std::memory_order_relaxed);
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 std::optional<std::uint64_t> Client::send(

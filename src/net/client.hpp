@@ -41,6 +41,22 @@ struct BackoffPolicy {
   int max_attempts = 5;
 };
 
+// Connection building blocks shared by Client::connect and callers that
+// drive the same steps from an event loop (router::ShardLink).
+
+/// Creates a CLOEXEC, non-blocking TCP socket and starts connecting it to
+/// host:port. Returns the fd: once it is writable, call finish_connect.
+/// Throws std::system_error on an immediate failure, having closed the fd.
+int start_connect(const std::string& host, std::uint16_t port);
+
+/// Completes a connect started by start_connect: SO_ERROR says whether the
+/// three-way handshake succeeded, then the fd goes back to blocking mode
+/// with TCP_NODELAY. Throws std::system_error on failure; the caller closes.
+void finish_connect(int fd);
+
+/// Blocking full-buffer send; false on any I/O error.
+bool send_all(int fd, const std::uint8_t* data, std::size_t size);
+
 class Client {
  public:
   /// Connects and completes the handshake; throws std::system_error on
@@ -110,12 +126,6 @@ class Client {
   }
 
   void close();
-
-  /// Half-close from any thread: marks the client closed and shuts the
-  /// socket down so a receiver blocked in recv()/poll_stats() wakes up
-  /// promptly. The fd itself stays valid until close()/destruction, so
-  /// this is safe to call while the receiver thread is inside recv().
-  void shutdown_socket();
 
  private:
   /// Reads until ≥1 response is buffered or the deadline passes.

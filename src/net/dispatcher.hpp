@@ -9,8 +9,8 @@
 //     NetServer constructed from a ServeEngine uses this internally, so the
 //     serving behavior of `autopn serve --listen` is unchanged.
 //   * router::Router (src/router/): forwards the frame to a backend shard
-//     over a pooled net::Client and responds with the shard's answer (or a
-//     router-origin shed when no shard is reachable).
+//     over its ShardLink (a socket on the same loop) and responds with the
+//     shard's answer (or a router-origin shed when no shard is reachable).
 //
 // Contract: dispatch() must eventually invoke `respond` EXACTLY once per
 // call, from any thread — that is what keeps the server's response ledger

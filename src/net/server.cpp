@@ -299,8 +299,8 @@ void NetServer::handle_request(Connection& conn, RequestFrame frame) {
 
 void NetServer::respond(std::uint64_t conn_id, std::uint64_t request_id,
                         ResponseFrame response) {
-  // Dispatcher context (engine worker, router io thread, or the loop
-  // itself): encode here (cheap, no shared state) and hand the bytes to
+  // Dispatcher context (an engine worker, or the loop itself — the router
+  // answers every request on its loop): encode here (cheap, no shared state) and hand the bytes to
   // the loop through the outbox. Workers never touch the socket — a
   // stalled or dead connection cannot stall them.
   response.request_id = request_id;

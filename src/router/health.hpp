@@ -65,7 +65,7 @@ struct HealthConfig {
 
 /// What the Router observed about one member during one poll interval.
 struct HealthObservation {
-  bool connected = false;         ///< link has >=1 live channel right now
+  bool connected = false;         ///< link's connection is up right now
   bool poll_ok = false;           ///< a fresh StatsFrame arrived this tick
   bool budget_exhausted = false;  ///< link burned its redial budget
 };

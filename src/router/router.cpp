@@ -12,23 +12,24 @@ Router::Router(std::vector<ShardAddress> shards, RouterConfig config)
     : config_(std::move(config)),
       ring_(config_.vnodes_per_shard),
       rebalancer_(config_.rebalance) {
+  server_ = std::make_unique<net::NetServer>(*this, config_.server);
+  // Links are loop-owned, so the bootstrap members are built on the loop.
   // Bootstrap shards skip probation: a router whose whole initial set sat
   // out N polls would serve nothing but sheds at startup. The health
   // machine demotes any of them that turn out to be down.
-  for (ShardAddress& shard : shards) {
-    const std::uint32_t id = shard.id;
-    Member member;
-    member.address = shard;
-    member.link = make_link(std::move(shard));
-    member.health = ShardHealth{config_.health};
-    member.in_ring = true;
-    ring_.add_shard(id);
-    append_log(MembershipEvent::kAdmit, id);
-    append_log(MembershipEvent::kJoin, id);
-    members_.emplace(id, std::move(member));
-  }
-  server_ = std::make_unique<net::NetServer>(*this, config_.server);
-  server_->loop().post([this] {
+  run_on_loop([this, &shards] {
+    for (ShardAddress& shard : shards) {
+      const std::uint32_t id = shard.id;
+      Member member;
+      member.address = shard;
+      member.link = make_link(std::move(shard));
+      member.health = ShardHealth{config_.health};
+      member.in_ring = true;
+      ring_.add_shard(id);
+      append_log(MembershipEvent::kAdmit, id);
+      append_log(MembershipEvent::kJoin, id);
+      members_.emplace(id, std::move(member));
+    }
     arm_stats_timer();
     arm_rebalance_timer();
   });
@@ -38,20 +39,14 @@ Router::~Router() { shutdown(); }
 
 std::unique_ptr<ShardLink> Router::make_link(ShardAddress address) {
   ShardLinkConfig link_config;
-  link_config.channels = config_.channels_per_shard;
   link_config.backoff = config_.backoff;
   link_config.shed_retry_after_us = config_.shed_retry_after_us;
   link_config.redial_budget = config_.redial_budget;
   link_config.dead_probe_seconds = config_.dead_probe_seconds;
-  // The callback reads server_ at completion time; no token can exist
-  // before a dispatch, and dispatches only start once server_ is built.
   return std::make_unique<ShardLink>(
-      std::move(address), link_config,
+      server_->loop(), std::move(address), link_config,
       [this](std::uint64_t token, net::ResponseFrame response) {
-        server_->loop().post(
-            [this, token, moved = std::move(response)]() mutable {
-              complete(token, std::move(moved));
-            });
+        complete(token, std::move(response));
       });
 }
 
@@ -101,14 +96,14 @@ void Router::forward_or_shed(net::RequestFrame frame, RespondFn respond) {
     return;
   }
   const std::uint64_t token = next_token_++;
-  if (!member.link->forward(token, frame)) {
-    // A live-ish member whose channels are momentarily down: a blip.
+  if (!member.link->forward(token, std::move(frame))) {
+    // A live-ish member whose link is momentarily down: a blip.
     respond_local_shed(respond, net::Status::kShed,
                        net::ShedDetail::kTransient);
     return;
   }
-  // No insert-after-response race here: complete() runs on this same loop
-  // thread via a posted task, which cannot execute until we return.
+  // No insert-after-response race here: complete() runs from the link's fd
+  // handler on this same loop thread, which cannot run until we return.
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   tenant_inflight_[tenant] += 1;
   flights_.emplace(token, Flight{std::move(respond), tenant});
@@ -284,11 +279,11 @@ void Router::append_log(MembershipEvent event, std::uint32_t shard_id) {
 void Router::finalize_retire(std::uint32_t shard_id) {
   const auto it = members_.find(shard_id);
   if (it == members_.end()) return;
-  // shutdown() synthesizes a completion for every stranded token; those
-  // are posted to this loop and run after this task, touching only router
-  // state — so destroying the link here cannot leak a flight.
-  it->second.link->shutdown();
-  members_.erase(it);
+  // close() synthesizes a completion for every stranded token inline, and
+  // complete() may cut a migration over through other links — so the link
+  // closes before its member is erased, never while members_ is mid-erase.
+  it->second.link->close();
+  members_.erase(shard_id);
 }
 
 net::MembershipFrame Router::membership(const net::MembershipRequest& request) {
@@ -437,7 +432,7 @@ std::vector<ShardSnapshot> Router::build_snapshots() const {
     // ring, not on its way out, and actually connected.
     snapshot.healthy =
         member.in_ring && !member.retiring && member.link->healthy();
-    if (const std::optional<net::StatsFrame> stats =
+    if (const std::optional<net::StatsFrame>& stats =
             member.link->latest_stats()) {
       snapshot.p99_us = stats->p99_us;
       snapshot.queue_depth = stats->queue_depth;
@@ -474,11 +469,11 @@ std::uint32_t Router::placement_of(std::uint16_t tenant_id) const {
 }
 
 void Router::drain() {
-  // Phase 1 (loop): stop routing — which also freezes membership (admit/
-  // retire/health all check draining_), so the off-loop link iteration in
-  // phase 2 sees a stable member table — and answer everything parked in
+  // One loop task. Stop routing — which also freezes membership (admit/
+  // retire/health all check draining_) — and answer everything parked in
   // held queues: those frames were dispatched but never forwarded, so they
-  // settle as router-origin kClosing sheds.
+  // settle as router-origin kClosing sheds. Then close every link; each
+  // synthesizes a router-origin shed for its in-flight tokens inline.
   run_on_loop([this] {
     draining_ = true;
     for (auto& [tenant, migration] : migrations_) {
@@ -488,15 +483,15 @@ void Router::drain() {
       }
     }
     migrations_.clear();
-  });
-  // Phase 2: shut every link down. Each joins its io threads after
-  // synthesizing a router-origin shed for every in-flight token, and all
-  // those completions are posted to the loop before shutdown() returns.
-  for (auto& [id, member] : members_) member.link->shutdown();
-  // Phase 3 (loop, FIFO after every posted completion): the flight table
-  // must be empty now; any leftover would break exactly-once, so settle it
-  // as returned (it WAS forwarded) rather than leak the respond callback.
-  run_on_loop([this] {
+    // Closed from a copy: synthesized completions never run while members_
+    // is being iterated.
+    std::vector<ShardLink*> links;
+    links.reserve(members_.size());
+    for (auto& [id, member] : members_) links.push_back(member.link.get());
+    for (ShardLink* link : links) link->close();
+    // The flight table must be empty now; any leftover would break
+    // exactly-once, so settle it as returned (it WAS forwarded) rather
+    // than leak the respond callback.
     for (auto& [token, flight] : flights_) {
       returned_.fetch_add(1, std::memory_order_relaxed);
       synthesized_.fetch_add(1, std::memory_order_relaxed);
@@ -517,7 +512,7 @@ net::StatsFrame Router::stats() {
   net::StatsFrame out;
   std::unordered_map<std::uint16_t, net::TenantStat> slots;
   for (auto& [id, member] : members_) {
-    const std::optional<net::StatsFrame> stats = member.link->latest_stats();
+    const std::optional<net::StatsFrame>& stats = member.link->latest_stats();
     if (!stats) continue;
     out.offered += stats->offered;
     out.completed += stats->completed;
@@ -548,10 +543,7 @@ net::StatsFrame Router::stats() {
 
 void Router::shutdown() {
   if (shut_down_.exchange(true, std::memory_order_acq_rel)) return;
-  server_->shutdown();  // runs drain(): flights settle, links shut down
-  for (auto& [id, member] : members_) {
-    member.link->shutdown();  // no-op after drain
-  }
+  server_->shutdown();  // runs drain(): links close, flights settle
 }
 
 RouterReport Router::report() const {

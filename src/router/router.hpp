@@ -7,10 +7,11 @@
 // It implements net::RequestDispatcher: the owned NetServer hands it every
 // decoded Request frame on the server's loop thread, and the Router either
 // forwards the frame to the tenant's shard (tracking it as a "flight" keyed
-// by a router token) or answers locally with a router-origin kShed. Shard
-// responses come back on ShardLink io threads and are posted onto the same
-// loop, so ALL routing state — flights, placement overrides, migrations,
-// per-tenant counters — is loop-thread-only and lock-free.
+// by a router token) or answers locally with a router-origin kShed. Every
+// ShardLink is a socket on the same loop, and shard responses complete
+// inline from its fd handler, so ALL routing state — flights, placement
+// overrides, migrations, per-tenant counters, the links themselves — is
+// loop-thread-only and lock-free. The router runs on that one thread.
 //
 // Ledger: the router extends the server's decoded == enqueued == written +
 // dropped invariant across the hop. Internally, after shutdown:
@@ -42,7 +43,7 @@
 // fold of that log (see health.hpp) — which is what makes placement
 // reproducible across routers. The ledger invariants hold across every
 // transition because nothing about completion routing changes: responses
-// route by token, and a link is only destroyed after its shutdown()
+// route by token, and a link is only destroyed after its close()
 // synthesized an answer for every outstanding token.
 //
 // Failpoint sites: router.forward (dispatch-time forced local shed),
@@ -73,7 +74,6 @@ namespace autopn::router {
 struct RouterConfig {
   /// Client-facing listener (port 0 = kernel-assigned, see port()).
   net::NetServerConfig server;
-  std::size_t channels_per_shard = 1;
   /// Redial schedule for downed shards; shapes each cycle's attempt
   /// timeout and backoff.
   net::BackoffPolicy backoff;
@@ -85,10 +85,8 @@ struct RouterConfig {
   HealthConfig health;
   RebalanceConfig rebalance;
   bool rebalance_enabled = true;
-  /// Per-shard KPI poll cadence. Keep above the link's ~0.1s receive
-  /// window: a faster cadence observes the stats reply only every other
-  /// tick, which health reads as alternating misses (probation's
-  /// consecutive-pass counter then never fills).
+  /// Per-shard KPI poll cadence. Health reads "did a StatsFrame land since
+  /// the last tick?", so keep it above a shard's stats round trip.
   double stats_poll_seconds = 0.2;
   double rebalance_seconds = 1.0;    ///< placement decision cadence
   /// Held-frame cap per migrating tenant; overflow is a router-origin shed.
@@ -129,10 +127,10 @@ struct RouterReport {
 
 class Router final : public net::RequestDispatcher {
  public:
-  /// Connects to nothing yet — ShardLink io threads dial in the background,
-  /// so a Router starts serving (and shedding router-origin) immediately
-  /// even when every shard is still down. Throws only if the client-facing
-  /// listener cannot bind.
+  /// Connects to nothing yet — each ShardLink dials without blocking on the
+  /// router's loop, so a Router starts serving (and shedding router-origin)
+  /// immediately even when every shard is still down. Throws only if the
+  /// client-facing listener cannot bind.
   explicit Router(std::vector<ShardAddress> shards, RouterConfig config = {});
   ~Router() override;
 
@@ -214,9 +212,7 @@ class Router final : public net::RequestDispatcher {
     net::EventLoop::TimerId force_cut_timer = 0;
   };
   /// One backend shard: its link plus all membership/health bookkeeping.
-  /// Everything but `link` is loop-thread-only; the link pointer itself is
-  /// also read off-loop by drain()/shutdown(), which is safe because by
-  /// then draining_ has frozen all membership mutation.
+  /// Loop-thread-only, like the link itself.
   struct Member {
     ShardAddress address;
     std::unique_ptr<ShardLink> link;
@@ -296,7 +292,8 @@ class Router final : public net::RequestDispatcher {
   std::uint64_t next_log_seq_ = 1;
 
   /// Members outlive server_ (declared before it): NetServer's shutdown
-  /// runs drain(), which still touches the links.
+  /// runs drain(), which closes the links on the loop; a closed link's
+  /// destructor touches nothing, so it may run after the loop stopped.
   std::unordered_map<std::uint32_t, Member> members_;
   std::unique_ptr<net::NetServer> server_;
 };

@@ -1,50 +1,41 @@
 #pragma once
-// ShardLink — the router's connection pool to one backend shard. Each link
-// owns `channels` pooled net::Client connections plus one io thread per
-// channel that receives responses and maps them back to router tokens.
+// ShardLink — the router's connection to one backend shard: one TCP socket
+// on the router NetServer's EventLoop. The link is loop-owned (built,
+// called and closed on that loop thread only), so it needs no lock and no
+// atomic. A small state machine driven by epoll readiness and loop timers:
 //
-// Threading contract (mirrors net::Client's 1-sender + 1-receiver rule):
-//   * forward() and request_stats() are called from ONE thread (the
-//     router's loop thread) — they are the channel's sender;
-//   * each channel's io thread is its only receiver, and the only thread
-//     that ever reseats the channel's client (reconnect);
-//   * the channel mutex is held across send + in-flight-map insert, and by
-//     the receiver across lookup — closing the race where a backend's
-//     response overtakes the bookkeeping of the request that caused it.
+//   connecting   non-blocking connect, waiting for EPOLLOUT;
+//   handshaking  Hello sent, waiting for the HelloAck (same attempt timer);
+//   up           EPOLLIN → one recv(MSG_DONTWAIT); each decoded Response
+//                goes to on_response inline, a StatsFrame to latest_stats();
+//   down         no socket; a loop timer redials.
 //
-// Health: a channel is up while its handshaken connection lives (the
-// Hello/HelloAck handshake inside Client::connect IS the health check —
-// a peer that accepts but speaks garbage fails it). On connection death
-// the io thread synthesizes a router-origin kShed response for every
-// in-flight token on that channel (the router's ledger stays exact: every
-// forwarded request is answered by someone), then redials with
-// capped-exponential backoff. Redials are budgeted: after `redial_budget`
-// consecutive failures in one outage the link flags budget_exhausted()
-// (the router's health machine uses that to declare the shard dead) and
-// drops to a slow probe every `dead_probe_seconds` — it never gives up
-// entirely, so a resurrected backend is still detected, but it stops
-// hammering a dead address. healthy() reports whether any channel is
-// currently connected; redial_attempts()/last_error() surface the outage
-// for operators (router-ctl status).
+// Sends block: forward() returns once the shard has taken the whole frame,
+// so shard backpressure stalls the router loop rather than growing a
+// buffer. While it waits, the link keeps reading the shard's answers into
+// its decoder (see send_buffer()). A forward() whose send fails shuts the
+// socket down and returns false; the fd handler then does the teardown.
 //
-// Stats: request_stats() sends a kStatsRequest on channel 0; the channel's
-// io thread parks the answer in latest_stats(), a cheap mutex-guarded slot
-// the router reads at rebalance time.
+// Health: the link is up while its handshaken connection lives — the
+// handshake IS the health check, failed by a peer that speaks garbage or
+// never answers. When the connection dies the link marks itself down,
+// synthesizes a router-origin kShed for every in-flight token inline (every
+// forwarded request is answered by someone), and redials with capped-
+// exponential backoff. After `redial_budget` consecutive failures in one
+// outage it flags budget_exhausted() (the router's health machine then
+// declares the shard dead) and drops to a slow probe every
+// `dead_probe_seconds`, so a resurrected backend is still detected.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/client.hpp"
+#include "net/event_loop.hpp"
 #include "net/wire.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace autopn::router {
 
@@ -55,7 +46,6 @@ struct ShardAddress {
 };
 
 struct ShardLinkConfig {
-  std::size_t channels = 1;
   net::BackoffPolicy backoff;  ///< per-redial-cycle schedule
   /// retry_after_us carried by synthesized backend-down sheds.
   std::uint64_t shed_retry_after_us = 20'000;
@@ -72,93 +62,108 @@ class ShardLink {
  public:
   /// Called for every forwarded token exactly once — with the shard's real
   /// response, or a synthesized router-origin kShed when the connection
-  /// died first. Runs on an io thread; must be cheap and non-blocking.
+  /// died first. Runs inline on the loop thread; it may forward() through
+  /// this or any other link, but must not close or destroy a link.
   using ResponseFn =
       std::function<void(std::uint64_t token, net::ResponseFrame response)>;
 
-  ShardLink(ShardAddress address, ShardLinkConfig config, ResponseFn on_response);
+  /// Starts dialing at once (non-blocking). Loop thread only.
+  ShardLink(net::EventLoop& loop, ShardAddress address, ShardLinkConfig config,
+            ResponseFn on_response);
+  /// Closes the link; a link that was close()d already touches nothing, so
+  /// it may be destroyed after its loop stopped.
   ~ShardLink();
 
   ShardLink(const ShardLink&) = delete;
   ShardLink& operator=(const ShardLink&) = delete;
 
-  /// Forwards one request (sender thread only). False when no channel is
-  /// connected — the caller owns the response in that case; on_response
-  /// will NOT fire for this token.
-  bool forward(std::uint64_t token, const net::RequestFrame& frame);
+  /// Forwards one request. False when the link is not up or the send
+  /// failed — the caller owns the response in that case; on_response will
+  /// NOT fire for this token.
+  bool forward(std::uint64_t token, net::RequestFrame frame);
 
-  /// Best-effort stats poll on channel 0 (sender thread only).
+  /// Best-effort stats poll; the answer lands in latest_stats().
   void request_stats();
 
-  /// Latest StatsFrame received, if any (any thread).
-  [[nodiscard]] std::optional<net::StatsFrame> latest_stats() const;
-
-  [[nodiscard]] bool healthy() const noexcept {
-    return connected_channels_.load(std::memory_order_relaxed) > 0;
+  [[nodiscard]] const std::optional<net::StatsFrame>& latest_stats() const {
+    return latest_stats_;
   }
-  [[nodiscard]] std::size_t in_flight() const;
-  [[nodiscard]] std::uint32_t shard_id() const noexcept { return address_.id; }
-  [[nodiscard]] const ShardAddress& address() const noexcept {
-    return address_;
+  [[nodiscard]] bool healthy() const noexcept { return state_ == State::kUp; }
+  [[nodiscard]] std::size_t in_flight() const noexcept {
+    return inflight_.size();
   }
+  /// Lifetime count of completed handshakes (the first connect included).
   [[nodiscard]] std::uint64_t reconnects() const noexcept {
-    return reconnects_.load(std::memory_order_relaxed);
+    return reconnects_;
   }
-  /// Lifetime count of failed dial attempts (any channel, any outage).
+  /// Lifetime count of failed dial attempts (any outage).
   [[nodiscard]] std::uint64_t redial_attempts() const noexcept {
-    return redial_attempts_.load(std::memory_order_relaxed);
+    return redial_attempts_;
   }
-  /// True while some channel's current outage has burned its redial
-  /// budget; cleared the moment any dial succeeds.
+  /// True while the current outage has burned its redial budget; cleared
+  /// the moment a dial succeeds.
   [[nodiscard]] bool budget_exhausted() const noexcept {
-    return budget_exhausted_.load(std::memory_order_relaxed);
+    return budget_exhausted_;
   }
   /// Lifetime count of StatsFrames received — the router snapshots this
   /// each poll tick to decide poll_ok (did a fresh frame arrive?).
   [[nodiscard]] std::uint64_t stats_received() const noexcept {
-    return stats_received_.load(std::memory_order_relaxed);
+    return stats_received_;
   }
   /// Human-readable reason of the most recent failed dial ("" if none).
-  [[nodiscard]] std::string last_error() const;
+  [[nodiscard]] const std::string& last_error() const noexcept {
+    return last_error_;
+  }
 
-  /// Stops io threads (waking any blocked receive), synthesizes responses
-  /// for every remaining in-flight token, and joins. Idempotent; after it
-  /// returns no further on_response callback can fire.
-  void shutdown();
+  /// Stops dialing, closes the socket, and synthesizes a response for every
+  /// in-flight token inline. Idempotent; afterwards no callback fires.
+  void close();
 
  private:
-  struct Channel {
-    mutable std::mutex mutex;
-    /// Reseated only by the channel's io thread; senders use it under the
-    /// mutex, the io thread receives without it (1-receiver rule).
-    std::unique_ptr<net::Client> client AUTOPN_GUARDED_BY(mutex);
-    /// Backend request id → router token for requests awaiting a response.
-    std::unordered_map<std::uint64_t, std::uint64_t> inflight
-        AUTOPN_GUARDED_BY(mutex);
-    std::thread io;
-  };
+  enum class State { kConnecting, kHandshaking, kUp, kDown, kClosed };
 
-  void io_loop(Channel& channel);
-  /// io thread: flush in-flight tokens as synthesized sheds, then redial.
-  void handle_down(Channel& channel);
-  void synthesize_all(Channel& channel);
-  [[nodiscard]] net::ResponseFrame synthesized_shed() const;
+  void dial();
+  /// The TCP connect finished: send the Hello.
+  void start_handshake();
+  /// One recv(MSG_DONTWAIT) into the decoder; false once the shard closed
+  /// or reset the connection.
+  [[nodiscard]] bool receive();
+  void dispatch_frames();
+  /// Handles one decoded frame; false on a frame the link cannot accept.
+  [[nodiscard]] bool on_frame(const net::Frame& frame);
+  /// Sends send_buf_ whole; false (socket shut down) when the send failed.
+  [[nodiscard]] bool send_buffer();
+  /// The one teardown: a failed dial is counted and redialed on the
+  /// backoff timer; a lost connection synthesizes its stranded tokens and
+  /// redials at once. `reason` becomes last_error() for a failed dial.
+  void failed(std::string reason);
+  void drop_socket();
+  void cancel_timer();
+  void synthesize_all();
 
+  net::EventLoop& loop_;
   ShardAddress address_;
   ShardLinkConfig config_;
   ResponseFn on_response_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::size_t> connected_channels_{0};
-  std::atomic<std::uint64_t> reconnects_{0};
-  std::atomic<std::uint64_t> redial_attempts_{0};
-  std::atomic<std::uint64_t> stats_received_{0};
-  std::atomic<bool> budget_exhausted_{false};
-  std::vector<std::unique_ptr<Channel>> channels_;
-  std::size_t next_channel_ = 0;  ///< sender thread only (round-robin)
 
-  mutable std::mutex stats_mutex_;
-  std::optional<net::StatsFrame> latest_stats_ AUTOPN_GUARDED_BY(stats_mutex_);
-  std::string last_error_ AUTOPN_GUARDED_BY(stats_mutex_);
+  State state_ = State::kDown;
+  int fd_ = -1;
+  net::FrameDecoder decoder_;
+  std::vector<std::uint8_t> send_buf_;
+  /// Attempt or redial timer while not up, the deferred dispatch of frames
+  /// read during a blocked send while up; 0 = none.
+  net::EventLoop::TimerId timer_ = 0;
+  /// Router tokens awaiting a response; a token is also the wire request id.
+  std::unordered_set<std::uint64_t> inflight_;
+
+  double backoff_seconds_ = 0.0;     ///< next redial wait in this outage
+  std::uint64_t outage_failures_ = 0;
+  std::uint64_t reconnects_ = 0;
+  std::uint64_t redial_attempts_ = 0;
+  std::uint64_t stats_received_ = 0;
+  bool budget_exhausted_ = false;
+  std::optional<net::StatsFrame> latest_stats_;
+  std::string last_error_;
 };
 
 }  // namespace autopn::router

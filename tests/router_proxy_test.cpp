@@ -4,7 +4,9 @@
 // shed_local, forwarded == returned) composed with the server's response
 // ledger, router-origin sheds for unreachable/dying backends, drop-free
 // drain-then-cut tenant migration under load, per-shard KPI aggregation
-// through kStatsRequest, and the router failpoints.
+// through kStatsRequest, the router failpoints, and the one-thread router:
+// a silent shard cannot stall it, and its thread count does not grow with
+// the shard count.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -13,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -41,10 +44,11 @@ stm::StmConfig small_stm() {
 
 /// One real backend shard: engine + NetServer on a kernel-assigned port.
 struct Shard {
-  explicit Shard(net::NetServer::HandlerTable handlers = {})
+  explicit Shard(net::NetServer::HandlerTable handlers = {},
+                 net::NetServerConfig config = {})
       : stm(small_stm()),
         engine(stm, [](util::Rng&) {}, clock, {}),
-        server(engine, std::move(handlers)) {}
+        server(engine, std::move(handlers), std::move(config)) {}
 
   util::WallClock clock;
   stm::Stm stm;
@@ -87,6 +91,25 @@ std::uint16_t tenant_on(std::uint32_t shard, std::uint32_t shard_count) {
   for (std::uint16_t t = 0;; ++t) {
     if (ring.owner_of_tenant(t) == shard) return t;
   }
+}
+
+/// Threads of this process right now.
+std::size_t thread_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+/// The router's status row for `shard`.
+Router::ShardStatus status_of(Router& router, std::uint32_t shard) {
+  for (const Router::ShardStatus& row : router.shard_status()) {
+    if (row.shard_id == shard) return row;
+  }
+  ADD_FAILURE() << "no status row for shard " << shard;
+  return {};
 }
 
 void expect_router_ledger(const RouterReport& r) {
@@ -356,6 +379,142 @@ TEST(RouterProxy, BackendDownFailpointForcesLocalShed) {
   client.close();
   router.shutdown();
   expect_router_ledger(router.report());
+}
+
+TEST(RouterProxy, SilentShardDoesNotStallTheRouter) {
+  // A listening socket that is never accepted: the kernel completes the TCP
+  // handshake from its backlog, so the link connects, but no HelloAck ever
+  // comes back and the link sits in its handshake until the attempt timer.
+  const int silent_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(silent_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(silent_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(silent_fd, 16), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(silent_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  Shard healthy;
+  RouterConfig cfg = fast_config();
+  cfg.backoff.attempt_timeout_seconds = 3.0;
+  const auto started = std::chrono::steady_clock::now();
+  Router router({healthy.address(0),
+                 ShardAddress{1, "127.0.0.1", ntohs(addr.sin_port)}},
+                cfg);
+  const std::uint16_t tenant = tenant_on(0, 2);
+  bool up = false;
+  for (int i = 0; i < 250 && !up; ++i) {
+    up = status_of(router, 0).healthy;
+    if (!up) std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_TRUE(up);
+
+  // Well inside the silent link's handshake timeout, the router is up and
+  // the healthy shard's tenant is served — a dial that blocked the router's
+  // loop would hold everything here until the timeout fired.
+  auto client = net::Client::connect("127.0.0.1", router.port());
+  for (int i = 0; i < 20; ++i) {
+    const auto response = client.call(/*handler_id=*/0, tenant,
+                                       /*deadline_us=*/0,
+                                       /*timeout_seconds=*/1.0);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, net::Status::kOk);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - started, 1500ms);
+  const Router::ShardStatus during = status_of(router, 1);
+  EXPECT_FALSE(during.healthy);
+  EXPECT_EQ(during.redial_attempts, 0u);
+
+  // After the attempt timeout the silent link reports its failed dial.
+  Router::ShardStatus after = status_of(router, 1);
+  for (int i = 0; i < 400 && after.redial_attempts == 0; ++i) {
+    std::this_thread::sleep_for(10ms);
+    after = status_of(router, 1);
+  }
+  EXPECT_GE(after.redial_attempts, 1u);
+  EXPECT_FALSE(after.last_error.empty());
+
+  client.close();
+  router.shutdown();
+  expect_router_ledger(router.report());
+  expect_server_ledger(router.server_report());
+  ::close(silent_fd);
+}
+
+TEST(RouterProxy, PipelinedFloodFromManyClientsIsFullyAnswered) {
+  // Eight clients pipeline requests into one shard link faster than the
+  // router reads the answers back, so the shard's outbound buffer (tiny
+  // cap) fills and it stops reading. A link whose send blocked the router
+  // loop without reading the shard's answers meanwhile wedged both sides
+  // for good.
+  net::NetServerConfig tight;
+  tight.max_outbound_bytes = 4096;
+  tight.so_sndbuf = 4096;
+  Shard shard0({}, tight);
+  Router router({shard0.address(0)}, fast_config());
+  ASSERT_TRUE(wait_links_up(router));
+
+  constexpr int kClients = 8;
+  constexpr int kRequests = 20000;
+  std::atomic<int> answered{0};
+  std::vector<net::Client> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(net::Client::connect("127.0.0.1", router.port()));
+  }
+  std::vector<std::thread> senders;
+  std::vector<std::thread> receivers;
+  for (net::Client& client : clients) {
+    senders.emplace_back([&client] {
+      for (int i = 0; i < kRequests; ++i) {
+        if (!client.send(/*handler_id=*/0, /*tenant_id=*/1)) return;
+      }
+    });
+    receivers.emplace_back([&client, &answered] {
+      for (int i = 0; i < kRequests; ++i) {
+        if (!client.recv(/*timeout_seconds=*/10.0)) return;
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : receivers) t.join();
+  // A wedged router answers nothing more, and its blocked send would hold
+  // the senders forever; closing the shard breaks that send so the test
+  // fails instead of hanging.
+  if (answered.load() != kClients * kRequests) shard0.server.shutdown();
+  for (std::thread& t : senders) t.join();
+  EXPECT_EQ(answered.load(), kClients * kRequests);
+
+  for (net::Client& client : clients) client.close();
+  router.shutdown();
+  expect_router_ledger(router.report());
+  expect_server_ledger(router.server_report());
+}
+
+TEST(RouterProxy, RouterThreadCountDoesNotGrowWithShards) {
+  // The shards' own threads exist before the baseline is taken, so the
+  // deltas below are the routers' threads alone.
+  Shard shard0;
+  Shard shard1;
+  Shard shard2;
+  const std::size_t baseline = thread_count();
+  std::size_t over_one = 0;
+  std::size_t over_three = 0;
+  {
+    Router router({shard0.address(0)}, fast_config());
+    ASSERT_TRUE(wait_links_up(router));
+    over_one = thread_count() - baseline;
+  }
+  {
+    Router router({shard0.address(0), shard1.address(1), shard2.address(2)},
+                  fast_config());
+    ASSERT_TRUE(wait_links_up(router));
+    over_three = thread_count() - baseline;
+  }
+  EXPECT_EQ(over_one, 1u) << "the NetServer loop is the router's one thread";
+  EXPECT_EQ(over_three, over_one) << "a shard link added a thread";
 }
 
 }  // namespace
