@@ -77,14 +77,19 @@ done
 # pass because commits hand copy-on-write buckets and cursors, and their
 # shared_ptr ownership, across threads — exactly ASan territory. So do the
 # containers and workloads tests: TLog owns its segments through a raw
-# pointer published by CAS, and the loser of a race frees its copy.
+# pointer published by CAS, and the loser of a race frees its copy. The
+# engine tests join too: workers parked above the top-level limit are woken
+# and joined through their stop tokens at shutdown.
 cmake --preset asan-ubsan
 cmake --build build-asan-ubsan --target \
   net_wire_test net_loop_test net_server_test net_chaos_test \
   net_client_retry_test router_proxy_test router_membership_test \
   stm_conflict_unit_test stm_linearizability_test stm_containers_test \
-  workloads_test model_queue_test model_compose_test model_vs_des_test
+  workloads_test model_queue_test model_compose_test model_vs_des_test \
+  serve_engine_test chaos_serve_test
 for t in build-asan-ubsan/tests/net_*_test \
+         build-asan-ubsan/tests/serve_engine_test \
+         build-asan-ubsan/tests/chaos_serve_test \
          build-asan-ubsan/tests/router_proxy_test \
          build-asan-ubsan/tests/router_membership_test \
          build-asan-ubsan/tests/stm_conflict_unit_test \

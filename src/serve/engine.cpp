@@ -19,7 +19,8 @@ ServeEngine::ServeEngine(stm::Stm& stm, RequestHandler default_handler,
   const std::size_t workers = std::max<std::size_t>(config_.workers, 1);
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back(
+        [this, i](std::stop_token stop) { worker_loop(i, stop); });
   }
 }
 
@@ -74,9 +75,17 @@ double ServeEngine::retry_after_hint(std::size_t depth) const {
   return std::clamp(hint, kMinHint, kMaxHint);
 }
 
-void ServeEngine::worker_loop(std::size_t index) {
+void ServeEngine::worker_loop(std::size_t index,
+                              const std::stop_token& stop) {
   util::Rng rng{config_.seed + 0x9e3779b9ULL * (index + 1)};
-  while (auto request = queue_.pop()) {
+  for (;;) {
+    // Worker i serves only while i < t: a surplus worker parks before it
+    // takes a request, so waiting requests stay queued instead of on a
+    // worker asleep at the top gate. drain_and_stop's join requests stop,
+    // which releases a parked worker to the (by then closed) queue.
+    stm_->wait_top_limit_above(index, stop);
+    auto request = queue_.pop();
+    if (!request) break;
     // Chaos hook (delay mode): stall the worker between dequeue and
     // execution — queued deadlines keep ticking, driving requests expired.
     AUTOPN_FAILPOINT("serve.worker.begin");

@@ -5,16 +5,23 @@
 // request as a top-level parallel-nesting transaction — the workload handler
 // calls Stm::run_top internally, so every request passes through the
 // actuator's t/c gates and the AutoPN tuner shapes live service parallelism.
+// Only the first t workers (t = Stm::top_limit()) dequeue: the rest park
+// before they take a request, so a waiting request stays in the queue
+// instead of on a worker asleep at the top gate, and its service time holds
+// no gate wait (unless t just shrank, or callers outside the engine hold
+// permits: the gate still bounds them all).
 // Per-request latency (enqueue→commit) lands in the ServiceKpiSource, which
 // feeds the TuningController real latency KPIs and the engine's SLO report.
 //
 // Dataflow:
-//   loadgen/clients → submit() → RequestQueue → workers → Stm.run_top
+//   loadgen/clients → submit() → RequestQueue → min(workers, t) workers
+//        → Stm.run_top
 //        → commit → ServiceKpiSource → TuningController → Actuator → gates
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -32,6 +39,9 @@ namespace autopn::serve {
 using RequestHandler = std::function<void(util::Rng&)>;
 
 struct ServeConfig {
+  /// Upper bound on the worker threads. Active workers = min(workers, t):
+  /// worker i dequeues only while i < Stm::top_limit(), and the surplus
+  /// workers park before they dequeue until t rises.
   std::size_t workers = 4;
   std::size_t queue_capacity = 256;
   /// Depth at which admission starts shedding; 0 derives 3/4 of capacity.
@@ -111,7 +121,8 @@ class ServeEngine {
                       std::uint16_t tenant_id = 0,
                       double timeout_seconds = 0.0);
 
-  /// Stops admission, lets the workers drain the backlog, and joins them.
+  /// Stops admission, lets the workers drain the backlog, and joins them
+  /// (parked ones included).
   /// After return no worker is running and every admitted request's
   /// on_complete has fired — a network front-end can rely on this to drain
   /// posted responses deterministically. Idempotent; the destructor calls
@@ -125,7 +136,7 @@ class ServeEngine {
   [[nodiscard]] stm::Stm& stm() noexcept { return *stm_; }
 
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop(std::size_t index, const std::stop_token& stop);
   [[nodiscard]] double retry_after_hint(std::size_t depth) const;
 
   stm::Stm* stm_;

@@ -25,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stop_token>
 #include <utility>
 #include <vector>
 
@@ -141,7 +142,15 @@ class Stm {
   /// Sets the maximum number of concurrent nested transactions per tree
   /// (c >= 1); applies to trees started after the call.
   void set_child_limit(std::size_t c);
+  /// Lock-free.
   [[nodiscard]] std::size_t top_limit() const { return top_gate_.capacity(); }
+  /// Blocks until top_limit() > n or `stop` is requested; returns at once
+  /// when it already holds. A pool of more than t threads parks thread n
+  /// here before taking work, so that only the first t threads serve and
+  /// none sleeps on the top gate holding a request.
+  void wait_top_limit_above(std::size_t n, const std::stop_token& stop) {
+    top_gate_.wait_capacity_above(n, stop);
+  }
   [[nodiscard]] std::size_t child_limit() const {
     return child_limit_.load(std::memory_order_relaxed);
   }

@@ -5,6 +5,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -401,5 +404,157 @@ TEST(Loadgen, ClosedLoopClientsCompleteTheirRequests) {
   EXPECT_GE(engine.report().completed, result.completed);
 }
 
+// ---- workers above the top-level limit park before they dequeue ----------
+
+stm::StmConfig stm_with_top_limit(std::size_t t) {
+  stm::StmConfig cfg = small_stm();
+  cfg.initial_top = t;
+  return cfg;
+}
+
+/// A queue deep enough that `n` requests are all admitted without shedding.
+ServeConfig deep_queue(std::size_t workers, std::size_t n) {
+  ServeConfig cfg;
+  cfg.workers = workers;
+  cfg.queue_capacity = n;
+  cfg.shed_watermark = n;
+  return cfg;
+}
+
+/// Submits a request whose transaction holds the top-level permit until
+/// `release` opens, and waits up to 2 s for it to start. On a timeout it
+/// opens `release` itself, so that the engine can still drain. Both must
+/// outlive the engine.
+[[nodiscard]] bool hold_top_permit(ServeEngine& engine,
+                                   util::WaitGroup& entered,
+                                   std::latch& release) {
+  stm::Stm& stm = engine.stm();
+  entered.add(1);
+  const bool admitted =
+      engine
+          .submit(
+              [&stm, &entered, &release](util::Rng&) {
+                // No reads or writes: the body cannot abort, so it runs
+                // exactly once.
+                stm.run_top([&](stm::Tx&) {
+                  entered.done();
+                  release.wait();
+                });
+              },
+              {})
+          .admitted;
+  if (admitted && entered.wait_for(2s)) return true;
+  release.count_down();
+  return false;
+}
+
+TEST(ServeEngine, WaitingRequestsStayQueuedWhileTIsFull) {
+  // t=1 with 3 workers: while the one permitted request holds the top gate,
+  // the other two workers park instead of dequeuing a request each and then
+  // sleeping on the gate with it.
+  stm::Stm stm{stm_with_top_limit(1)};
+  util::WallClock clock;
+  util::WaitGroup entered;
+  std::latch release{1};
+  std::atomic<int> started{0};
+  util::WaitGroup first_started;
+  first_started.add(1);
+  ServeEngine engine{stm, [](util::Rng&) {}, clock, deep_queue(3, 16)};
+  ASSERT_TRUE(hold_top_permit(engine, entered, release));
+
+  // A dequeued waiting request would start its handler before reaching the
+  // gate; give a worker that wrongly dequeues the time to show it.
+  const RequestHandler waiting = [&stm, &started, &first_started](util::Rng&) {
+    if (started.fetch_add(1) == 0) first_started.done();
+    stm.run_top([](stm::Tx&) {});
+  };
+  std::size_t admitted = 0;
+  for (int i = 0; i < 5; ++i) admitted += engine.submit(waiting, {}).admitted;
+  const bool dequeued_early = first_started.wait_for(200ms);
+  const std::size_t depth = engine.report().queue_depth;
+
+  release.count_down();
+  engine.drain_and_stop();
+  ASSERT_EQ(admitted, 5u);
+  EXPECT_FALSE(dequeued_early);
+  EXPECT_EQ(depth, 5u);
+  EXPECT_EQ(started.load(), 5);
+  EXPECT_EQ(engine.report().completed, 6u);
+}
+
+TEST(ServeEngine, WorkersAboveTopLimitNeverDequeue) {
+  stm::Stm stm{stm_with_top_limit(1)};
+  util::WallClock clock;
+  std::mutex mutex;
+  std::set<std::thread::id> servers;
+  const RequestHandler record = [&](util::Rng&) {
+    stm.run_top([](stm::Tx&) {});
+    std::scoped_lock lock{mutex};
+    servers.insert(std::this_thread::get_id());
+  };
+  ServeEngine engine{stm, record, clock, deep_queue(3, 256)};
+  submit_admitted(engine, 200);
+  engine.drain_and_stop();
+
+  EXPECT_EQ(engine.report().completed, 200u);
+  EXPECT_EQ(servers.size(), 1u);
+}
+
+TEST(ServeEngine, RaisingTopLimitWakesAParkedWorker) {
+  // The parked worker must wake on set_capacity's notification: A holds
+  // the only permit until after the bounded wait, so nothing else can start
+  // B in time.
+  stm::Stm stm{stm_with_top_limit(1)};
+  util::WallClock clock;
+  util::WaitGroup entered;
+  std::latch release{1};
+  util::WaitGroup b_started;
+  b_started.add(1);
+  ServeEngine engine{stm, [](util::Rng&) {}, clock, deep_queue(2, 16)};
+  ASSERT_TRUE(hold_top_permit(engine, entered, release));
+
+  const bool b_admitted =
+      engine
+          .submit(
+              [&stm, &b_started](util::Rng&) {
+                stm.run_top([&](stm::Tx&) { b_started.done(); });
+              },
+              {})
+          .admitted;
+  stm.set_top_limit(2);
+  const bool started = b_admitted && b_started.wait_for(2s);
+
+  release.count_down();
+  engine.drain_and_stop();
+  EXPECT_TRUE(started);
+  EXPECT_EQ(engine.report().completed, 2u);
+}
+
+TEST(ServeEngine, DrainAndStopJoinsParkedWorkers) {
+  // t=1 with 4 workers: three stay parked for the whole run, and shutdown
+  // must still join them once the one serving worker drains the backlog.
+  stm::Stm stm{stm_with_top_limit(1)};
+  util::WallClock clock;
+  auto workload = make_servable_workload("array", stm);
+  util::WaitGroup entered;
+  std::latch release{1};
+  ServeEngine engine{stm, workload.handler, clock, deep_queue(4, 512)};
+  ASSERT_TRUE(hold_top_permit(engine, entered, release));
+  submit_admitted(engine, 499);
+  const std::size_t backlog = engine.report().queue_depth;
+
+  release.count_down();
+  engine.drain_and_stop();
+  EXPECT_EQ(backlog, 499u);
+  const ServeReport report = engine.report();
+  EXPECT_EQ(report.offered, 500u);
+  EXPECT_EQ(report.admitted, 500u);
+  EXPECT_EQ(report.offered, report.admitted + report.shed);
+  EXPECT_EQ(report.completed, 500u);
+  EXPECT_EQ(report.admitted,
+            report.completed + report.expired + report.failed);
+  EXPECT_EQ(report.queue_depth, 0u);
+  EXPECT_TRUE(workload.verify());
+}
 }  // namespace
 }  // namespace autopn::serve

@@ -46,6 +46,30 @@ TEST(ResizableSemaphore, GrowReleasesWaiter) {
   sem.release();
 }
 
+TEST(ResizableSemaphore, WaitCapacityAboveWakesOnGrowAndOnStop) {
+  ResizableSemaphore sem{1};
+  sem.wait_capacity_above(0, {});  // already true: returns at once
+  WaitGroup grown;
+  grown.add(1);
+  std::jthread parked_on_grow{[&](std::stop_token stop) {
+    sem.wait_capacity_above(1, stop);
+    grown.done();
+  }};
+  sem.set_capacity(2);
+  EXPECT_TRUE(grown.wait_for(2s));
+  EXPECT_EQ(sem.in_use(), 0u);  // parking takes no permit
+
+  WaitGroup stopped;
+  stopped.add(1);
+  std::jthread parked_on_stop{[&](std::stop_token stop) {
+    sem.wait_capacity_above(5, stop);
+    stopped.done();
+  }};
+  parked_on_stop.request_stop();
+  EXPECT_TRUE(stopped.wait_for(2s));
+  EXPECT_EQ(sem.capacity(), 2u);
+}
+
 TEST(ResizableSemaphore, ShrinkDoesNotRevoke) {
   ResizableSemaphore sem{3};
   sem.acquire();
