@@ -25,9 +25,11 @@
 // fixed-sleep (scaling table): the bench measures the routing tier, not
 // the STM under it.
 //
-// Every table also prints two counts for the measured phase, which do not
+// Every table also prints three counts for the measured phase, which do not
 // swing with host speed the way latency does: socket writes per response
-// for each server ("w/resp"; below 1 when responses share a send), and
+// for each server ("w/resp"; below 1 when responses share a send), the
+// router's shard-link socket writes per forwarded request ("link w/fwd";
+// below 1 when a loop round's forwards to a shard share a send), and
 // voluntary context switches per sent request across the whole process
 // ("nvcsw/req", from getrusage). In the open-loop tables nvcsw/req mostly
 // counts wake-ups of threads that went idle between requests.
@@ -129,6 +131,28 @@ std::string writes_per_response(const net::NetServerReport& before,
                           2);
 }
 
+/// Shard-link socket writes and forwarded requests of a router so far.
+struct LinkCounts {
+  std::uint64_t writes = 0;
+  std::uint64_t forwarded = 0;
+};
+
+LinkCounts link_counts(router::Router& router) {
+  LinkCounts counts;
+  for (const auto& row : router.shard_status()) counts.writes += row.socket_writes;
+  counts.forwarded = router.report().forwarded;
+  return counts;
+}
+
+std::string writes_per_forward(const LinkCounts& before,
+                               const LinkCounts& after) {
+  const std::uint64_t forwarded = after.forwarded - before.forwarded;
+  if (forwarded == 0) return "-";
+  return util::fmt_double(static_cast<double>(after.writes - before.writes) /
+                              static_cast<double>(forwarded),
+                          2);
+}
+
 std::string switches_per_request(std::int64_t before, std::int64_t after,
                                  const net::NetLoadResult& r) {
   return util::fmt_double(static_cast<double>(after - before) /
@@ -144,10 +168,11 @@ std::string served_per_second(const net::NetLoadResult& r) {
 
 void add_latency_row(util::TextTable& table, const std::string& name,
                      const net::NetLoadResult& r, const std::string& shard_w,
-                     const std::string& router_w, const std::string& nvcsw) {
+                     const std::string& router_w, const std::string& link_w,
+                     const std::string& nvcsw) {
   table.add_row({name, served_per_second(r),
                  fmt_ms(r.latency.p50), fmt_ms(r.latency.p95),
-                 fmt_ms(r.latency.p99), shard_w, router_w, nvcsw});
+                 fmt_ms(r.latency.p99), shard_w, router_w, link_w, nvcsw});
 }
 
 router::RouterConfig router_config() {
@@ -177,7 +202,8 @@ int main(int argc, char** argv) {
             << " req/s for " << util::fmt_double(p.duration, 1) << "s, "
             << p.connections << " connections, near-no-op handler\n";
   util::TextTable hop{{"path", "served/s", "p50(ms)", "p95(ms)", "p99(ms)",
-                       "shard w/resp", "rtr w/resp", "nvcsw/req"}};
+                       "shard w/resp", "rtr w/resp", "link w/fwd",
+                       "nvcsw/req"}};
   {
     Shard shard(p, noop);
     auto shard_before = shard.server.report();
@@ -186,7 +212,7 @@ int main(int argc, char** argv) {
         net::run_netload(load_params(p, shard.server.port(), 8));
     add_latency_row(hop, "direct", direct,
                     writes_per_response(shard_before, shard.server.report()),
-                    "-",
+                    "-", "-",
                     switches_per_request(switches_before,
                                          voluntary_switches(), direct));
 
@@ -195,12 +221,14 @@ int main(int argc, char** argv) {
         router_config());
     shard_before = shard.server.report();
     const auto router_before = router.server_report();
+    const LinkCounts links_before = link_counts(router);
     switches_before = voluntary_switches();
     const auto via = net::run_netload(load_params(p, router.port(), 8));
     add_latency_row(
         hop, "via router", via,
         writes_per_response(shard_before, shard.server.report()),
         writes_per_response(router_before, router.server_report()),
+        writes_per_forward(links_before, link_counts(router)),
         switches_per_request(switches_before, voluntary_switches(), via));
     router.shutdown();
   }
@@ -213,7 +241,7 @@ int main(int argc, char** argv) {
             << " req/s capacity per shard)\n";
   util::TextTable scaling{{"shards", "offered/s", "served/s", "shed",
                            "shed@rtr", "unanswered", "shard w/resp",
-                           "rtr w/resp", "nvcsw/req"}};
+                           "rtr w/resp", "link w/fwd", "nvcsw/req"}};
   for (std::size_t count = 1; count <= p.max_shards; count *= 2) {
     std::vector<std::unique_ptr<Shard>> shards;
     std::vector<router::ShardAddress> addresses;
@@ -229,11 +257,14 @@ int main(int argc, char** argv) {
       shards_before.push_back(shard->server.report());
     }
     const auto router_before = router.server_report();
+    const LinkCounts links_before = link_counts(router);
     const auto switches_before = voluntary_switches();
     const auto result = net::run_netload(load_params(p, router.port(), 64));
     const auto switches_after = voluntary_switches();
     const std::string router_w =
         writes_per_response(router_before, router.server_report());
+    const std::string link_w =
+        writes_per_forward(links_before, link_counts(router));
     std::string shard_w;
     for (std::size_t s = 0; s < count; ++s) {
       if (s > 0) shard_w += "/";
@@ -252,7 +283,7 @@ int main(int argc, char** argv) {
          util::fmt_percent(static_cast<double>(result.shed) /
                            std::max<std::uint64_t>(result.sent, 1)),
          std::to_string(result.shed_router),
-         std::to_string(result.unanswered), shard_w, router_w,
+         std::to_string(result.unanswered), shard_w, router_w, link_w,
          switches_per_request(switches_before, switches_after, result)});
   }
   scaling.print(std::cout);
@@ -261,7 +292,8 @@ int main(int argc, char** argv) {
   std::cout << "\ncapacity: closed loop, 16 connections, no think time, "
                "near-no-op handler\n";
   util::TextTable capacity{
-      {"path", "served/s", "shard w/resp", "rtr w/resp", "nvcsw/req"}};
+      {"path", "served/s", "shard w/resp", "rtr w/resp", "link w/fwd",
+       "nvcsw/req"}};
   {
     Shard shard(p, noop);
     auto closed = load_params(p, shard.server.port(), 8);
@@ -273,7 +305,7 @@ int main(int argc, char** argv) {
     const auto direct = net::run_netload(closed);
     capacity.add_row(
         {"direct", served_per_second(direct),
-         writes_per_response(shard_before, shard.server.report()), "-",
+         writes_per_response(shard_before, shard.server.report()), "-", "-",
          switches_per_request(switches_before, voluntary_switches(), direct)});
 
     router::Router router(
@@ -282,12 +314,14 @@ int main(int argc, char** argv) {
     closed.port = router.port();
     shard_before = shard.server.report();
     const auto router_before = router.server_report();
+    const LinkCounts links_before = link_counts(router);
     switches_before = voluntary_switches();
     const auto via = net::run_netload(closed);
     capacity.add_row(
         {"via router", served_per_second(via),
          writes_per_response(shard_before, shard.server.report()),
          writes_per_response(router_before, router.server_report()),
+         writes_per_forward(links_before, link_counts(router)),
          switches_per_request(switches_before, voluntary_switches(), via)});
     router.shutdown();
   }

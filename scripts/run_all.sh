@@ -58,8 +58,8 @@ cmake --build build-tsan --target \
   util_failpoint_test chaos_stm_test chaos_serve_test chaos_runtime_test \
   net_wire_test net_loop_test net_server_test net_chaos_test \
   net_client_retry_test router_ring_test router_rebalancer_test \
-  router_proxy_test router_health_test router_membership_test \
-  model_queue_test model_compose_test model_vs_des_test
+  router_proxy_test router_link_test router_health_test \
+  router_membership_test model_queue_test model_compose_test model_vs_des_test
 for t in build-tsan/tests/stm_*_test build-tsan/tests/serve_*_test \
          build-tsan/tests/net_*_test build-tsan/tests/router_*_test \
          build-tsan/tests/model_*_test \
@@ -79,18 +79,21 @@ done
 # containers and workloads tests: TLog owns its segments through a raw
 # pointer published by CAS, and the loser of a race frees its copy. The
 # engine tests join too: workers parked above the top-level limit are woken
-# and joined through their stop tokens at shutdown.
+# and joined through their stop tokens at shutdown. The shard-link test
+# joins as well: a flush posted before its link was destroyed must find the
+# link gone, not freed memory.
 cmake --preset asan-ubsan
 cmake --build build-asan-ubsan --target \
   net_wire_test net_loop_test net_server_test net_chaos_test \
-  net_client_retry_test router_proxy_test router_membership_test \
-  stm_conflict_unit_test stm_linearizability_test stm_containers_test \
+  net_client_retry_test router_proxy_test router_link_test \
+  router_membership_test stm_conflict_unit_test stm_linearizability_test stm_containers_test \
   workloads_test model_queue_test model_compose_test model_vs_des_test \
   serve_engine_test chaos_serve_test
 for t in build-asan-ubsan/tests/net_*_test \
          build-asan-ubsan/tests/serve_engine_test \
          build-asan-ubsan/tests/chaos_serve_test \
          build-asan-ubsan/tests/router_proxy_test \
+         build-asan-ubsan/tests/router_link_test \
          build-asan-ubsan/tests/router_membership_test \
          build-asan-ubsan/tests/stm_conflict_unit_test \
          build-asan-ubsan/tests/stm_linearizability_test \

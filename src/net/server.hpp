@@ -12,7 +12,7 @@
 //        ─▸ worker runs the PN transaction ─▸ on_complete(RequestResult)
 //        ─▸ respond: append to the outbox  (worker returns immediately)
 //        ─▸ loop: drain_outbox             (every queued response)
-//        ─▸ Connection outbound buffer ──one send/EPOLLOUT──▸ client
+//        ─▸ Connection's BufferedWriter ──one send/EPOLLOUT──▸ client
 //
 // Batching: only the respond that finds the outbox empty posts a drain
 // task, and the drain appends every queued response to its connection's
@@ -20,11 +20,12 @@
 // complete while the loop is busy cost one loop task and one send per
 // connection, not k of each.
 //
-// Backpressure: each connection's outbound buffer is bounded. While it holds
-// more than `max_outbound_bytes` the server stops reading that connection
-// (EPOLLIN dropped) — a slow reader throttles its own request stream instead
-// of ballooning server memory — and resumes once the buffer drains below
-// half the cap. EPOLLOUT is armed only while there are bytes to flush.
+// Backpressure: each connection's outbound bytes sit in a BufferedWriter
+// (buffered_writer.hpp), the same one ShardLink uses. While it holds more
+// than `max_outbound_bytes` the server stops reading that connection (EPOLLIN
+// dropped) — a slow reader throttles its own request stream instead of
+// ballooning server memory — and resumes once the buffer drains below half
+// the cap. EPOLLOUT is armed only while there are bytes to flush.
 //
 // Dead connections: completions address connections by id, never by pointer.
 // A response whose connection has gone (mid-request disconnect) is counted
@@ -48,6 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/buffered_writer.hpp"
 #include "net/dispatcher.hpp"
 #include "net/event_loop.hpp"
 #include "net/wire.hpp"
@@ -142,7 +144,7 @@ class NetServer {
  private:
   /// One unflushed response in a connection's outbound buffer.
   struct PendingResponse {
-    /// Cumulative queued-byte mark at which the response ends — how
+    /// The writer's queued() mark at which the response ends — how
     /// responses_written distinguishes fully-sent responses from bytes
     /// parked in the buffer when the connection dies.
     std::uint64_t end = 0;
@@ -152,18 +154,16 @@ class NetServer {
   };
 
   struct Connection {
+    Connection(EventLoop& loop, std::size_t max_outbound_bytes)
+        : out(loop, max_outbound_bytes) {}
     int fd = -1;
     std::uint64_t id = 0;
     bool handshaken = false;
     bool reading_paused = false;
     bool draining = false;  ///< shutdown: no further reads, flush only
-    std::uint32_t interest = 0;  ///< epoll mask last registered for fd
     FrameDecoder decoder;
-    std::vector<std::uint8_t> outbuf;
-    std::size_t outbuf_offset = 0;  ///< flushed prefix of outbuf
+    BufferedWriter out;
     std::deque<PendingResponse> pending;  ///< oldest first
-    std::uint64_t bytes_queued = 0;
-    std::uint64_t bytes_flushed = 0;
     EventLoop::TimerId handshake_timer = 0;
   };
 
