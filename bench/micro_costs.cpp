@@ -7,11 +7,19 @@
 //  * M5 model-tree training and prediction at online training-set sizes;
 //  * bagging ensemble fit (k=10) and EI sweep over the full 198-point space;
 //  * KPI monitor per-commit cost.
+//
+// Every STM row and BM_TpccTxAfter also report `allocs/op`: heap
+// allocations per iteration, counted by the replacement operator new below.
+// It lives in this binary only; the libraries are never instrumented.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 
 #include "ml/bagging.hpp"
 #include "opt/config_space.hpp"
@@ -26,6 +34,38 @@ using namespace autopn;
 
 namespace {
 
+/// Heap allocations made by any thread of this process so far.
+std::atomic<std::uint64_t> allocations{0};
+
+}  // namespace
+
+// Neither replacement is inlined: gcc would otherwise see malloc() meet
+// operator delete, or operator new meet free(), and warn of a mismatch
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+/// Sets the `allocs/op` counter from the allocations made since `before`
+/// (read just before the timed loop). The count is process-wide, so it
+/// includes pool workers running children, and a multi-threaded row reports
+/// it from thread 0 alone; google-benchmark divides by the iterations of
+/// all threads.
+void report_allocs(benchmark::State& state, std::uint64_t before) {
+  if (state.thread_index() != 0) return;
+  state.counters["allocs/op"] = benchmark::Counter(
+      static_cast<double>(allocations.load(std::memory_order_relaxed) - before),
+      benchmark::Counter::kAvgIterations);
+}
+
 stm::StmConfig bench_config() {
   stm::StmConfig cfg;
   cfg.pool_threads = 2;
@@ -37,11 +77,13 @@ stm::StmConfig bench_config() {
 void BM_StmReadOnlyTx(benchmark::State& state) {
   stm::Stm stm{bench_config()};
   stm::VBox<int> box{42};
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     int v = 0;
     stm.run_top([&](stm::Tx& tx) { v = box.read(tx); });
     benchmark::DoNotOptimize(v);
   }
+  report_allocs(state, before);
 }
 BENCHMARK(BM_StmReadOnlyTx);
 
@@ -49,9 +91,11 @@ void BM_StmWriteCommit(benchmark::State& state) {
   stm::Stm stm{bench_config()};
   stm::VBox<int> box{0};
   int i = 0;
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     stm.run_top([&](stm::Tx& tx) { box.write(tx, ++i); });
   }
+  report_allocs(state, before);
 }
 BENCHMARK(BM_StmWriteCommit);
 
@@ -63,10 +107,12 @@ void BM_StmContendedCommit(benchmark::State& state) {
     shared_stm = new stm::Stm{bench_config()};
     shared_box = new stm::VBox<long>{0L};
   }
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     shared_stm->run_top(
         [&](stm::Tx& tx) { shared_box->write(tx, shared_box->read(tx) + 1); });
   }
+  report_allocs(state, before);
   if (state.thread_index() == 0) {
     delete shared_box;
     delete shared_stm;
@@ -80,6 +126,7 @@ void BM_StmReadsPerTx(benchmark::State& state) {
   const auto reads = static_cast<std::size_t>(state.range(0));
   stm::Stm stm{bench_config()};
   stm::TArray<int> arr{reads, 1};
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     long sum = 0;
     stm.run_top([&](stm::Tx& tx) {
@@ -87,14 +134,35 @@ void BM_StmReadsPerTx(benchmark::State& state) {
     });
     benchmark::DoNotOptimize(sum);
   }
+  report_allocs(state, before);
   state.SetItemsProcessed(state.iterations() * static_cast<long>(reads));
 }
 BENCHMARK(BM_StmReadsPerTx)->Arg(16)->Arg(256);
+
+void BM_StmReadOnlyReadsPerTx(benchmark::State& state) {
+  // The same reads through Stm::read_only, which records no read set.
+  const auto reads = static_cast<std::size_t>(state.range(0));
+  stm::Stm stm{bench_config()};
+  stm::TArray<int> arr{reads, 1};
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    const long sum = stm.read_only<long>([&](stm::Tx& tx) {
+      long total = 0;
+      for (std::size_t k = 0; k < reads; ++k) total += arr.read(tx, k);
+      return total;
+    });
+    benchmark::DoNotOptimize(sum);
+  }
+  report_allocs(state, before);
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(reads));
+}
+BENCHMARK(BM_StmReadOnlyReadsPerTx)->Arg(16)->Arg(256);
 
 void BM_StmNestedSpawnMerge(benchmark::State& state) {
   const auto children = static_cast<std::size_t>(state.range(0));
   stm::Stm stm{bench_config()};
   stm::TArray<int> arr{children, 0};
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     stm.run_top([&](stm::Tx& tx) {
       std::vector<std::function<void(stm::Tx&)>> kids;
@@ -105,6 +173,7 @@ void BM_StmNestedSpawnMerge(benchmark::State& state) {
       tx.run_children(std::move(kids));
     });
   }
+  report_allocs(state, before);
   state.SetItemsProcessed(state.iterations() * static_cast<long>(children));
 }
 BENCHMARK(BM_StmNestedSpawnMerge)->Arg(2)->Arg(8);
@@ -118,7 +187,9 @@ void BM_TpccTxAfter(benchmark::State& state) {
   workloads::TpccBenchmark tpcc{stm, cfg};
   util::Rng rng{cfg.seed};
   tpcc.run_many(static_cast<std::size_t>(state.range(0)), rng);
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
   for (auto _ : state) tpcc.run_one(rng);
+  report_allocs(state, before);
 }
 // A fixed iteration count runs the warm-up once per repetition; otherwise
 // google-benchmark reruns the whole function while it sizes the count.

@@ -81,12 +81,18 @@ done
 # engine tests join too: workers parked above the top-level limit are woken
 # and joined through their stop tokens at shutdown. The shard-link test
 # joins as well: a flush posted before its link was destroyed must find the
-# link gone, not freed memory.
+# link gone, not freed memory. Every STM test joins as well: a transaction's
+# read/write set is a flat vector with an index of positions into it, and a
+# read-only tree hands out chain bodies it never recorded.
 cmake --preset asan-ubsan
 cmake --build build-asan-ubsan --target \
   net_wire_test net_loop_test net_server_test net_chaos_test \
   net_client_retry_test router_proxy_test router_link_test \
-  router_membership_test stm_conflict_unit_test stm_linearizability_test stm_containers_test \
+  router_membership_test \
+  stm_basic_test stm_nesting_test stm_concurrency_test stm_containers_test \
+  stm_property_test stm_commit_strategy_test stm_snapshot_registry_test \
+  stm_commit_manager_test stm_stats_test \
+  stm_conflict_unit_test stm_linearizability_test chaos_stm_test \
   workloads_test model_queue_test model_compose_test model_vs_des_test \
   serve_engine_test chaos_serve_test
 for t in build-asan-ubsan/tests/net_*_test \
@@ -95,9 +101,8 @@ for t in build-asan-ubsan/tests/net_*_test \
          build-asan-ubsan/tests/router_proxy_test \
          build-asan-ubsan/tests/router_link_test \
          build-asan-ubsan/tests/router_membership_test \
-         build-asan-ubsan/tests/stm_conflict_unit_test \
-         build-asan-ubsan/tests/stm_linearizability_test \
-         build-asan-ubsan/tests/stm_containers_test \
+         build-asan-ubsan/tests/stm_*_test \
+         build-asan-ubsan/tests/chaos_stm_test \
          build-asan-ubsan/tests/workloads_test \
          build-asan-ubsan/tests/model_*_test; do
   echo "== asan-ubsan: $(basename "$t") =="

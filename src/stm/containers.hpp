@@ -98,6 +98,12 @@ class TMap {
     return copy_value(find_entry(*cast(bucket), key));
   }
 
+  /// Non-transactional lookup in the newest committed bucket
+  /// (verification; requires quiescence).
+  [[nodiscard]] std::optional<Value> peek(const Key& key) const {
+    return copy_value(find_entry(box_for(key).peek(), key));
+  }
+
   [[nodiscard]] bool contains(Tx& tx, const Key& key) const {
     return get(tx, key).has_value();
   }

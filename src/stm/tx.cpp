@@ -1,5 +1,7 @@
 #include "stm/tx.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -16,31 +18,109 @@ Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot, std::size_t child_limit)
       depth_(parent != nullptr ? parent->depth_ + 1 : 0),
       budget_(child_limit) {}
 
-Tx::ReadEntry Tx::resolve_above(VBoxBase* box) {
-  for (Tx* anc = parent_; anc != nullptr; anc = anc->parent_) {
-    std::scoped_lock lock{anc->merge_mutex_};
-    if (auto it = anc->writes_.find(box); it != anc->writes_.end()) {
-      return ReadEntry{it->second.value, anc, it->second.stamp};
+// ---- BoxSet ----------------------------------------------------------------
+
+std::size_t Tx::BoxSet::slot_of(const VBoxBase* box) const noexcept {
+  // Fibonacci hashing: boxes that sit at a fixed stride in memory (a TLog
+  // segment, a TArray) spread over the whole table.
+  return static_cast<std::size_t>(
+      (reinterpret_cast<std::uintptr_t>(box) * 0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+Tx::Entry* Tx::BoxSet::find(const VBoxBase* box) noexcept {
+  if (index_.empty()) {
+    for (Entry& entry : entries_) {
+      if (entry.box == box) return &entry;
     }
+    return nullptr;
   }
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t slot = slot_of(box);; slot = (slot + 1) & mask) {
+    const std::uint32_t position = index_[slot];
+    if (position == 0) return nullptr;
+    if (entries_[position - 1].box == box) return &entries_[position - 1];
+  }
+}
+
+Tx::Entry& Tx::BoxSet::insert(Entry entry) {
+  if (entries_.empty()) entries_.reserve(kLinearSetMax);
+  entries_.push_back(std::move(entry));
+  const std::size_t size = entries_.size();
+  if (size > kLinearSetMax && 2 * size > index_.size()) {
+    rebuild(std::max<std::size_t>(4 * kLinearSetMax, 2 * index_.size()));
+  } else if (!index_.empty()) {
+    index(static_cast<std::uint32_t>(size));
+  }
+  return entries_.back();
+}
+
+void Tx::BoxSet::index(std::uint32_t position) noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = slot_of(entries_[position - 1].box);
+  while (index_[slot] != 0) slot = (slot + 1) & mask;
+  index_[slot] = position;
+}
+
+void Tx::BoxSet::rebuild(std::size_t slots) {
+  index_.assign(slots, 0);
+  shift_ = 64 - std::countr_zero(slots);
+  for (std::uint32_t position = 1; position <= entries_.size(); ++position) {
+    index(position);
+  }
+}
+
+// ---- Tx ----------------------------------------------------------------------
+
+std::size_t Tx::write_set_size() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(set_.entries().begin(), set_.entries().end(),
+                    [](const Entry& entry) { return entry.written; }));
+}
+
+std::size_t Tx::read_set_size() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(set_.entries().begin(), set_.entries().end(),
+                    [](const Entry& entry) { return entry.read; }));
+}
+
+std::shared_ptr<const void> Tx::read_at_snapshot(const VBoxBase* box) const {
   const Body* body = box->body_at(root_->snapshot_);
   if (body == nullptr) {
     throw std::logic_error{"transactional read of an uninitialized VBox"};
   }
-  return ReadEntry{body->value.read(), nullptr, 0};
+  return body->value.read();
+}
+
+Tx::Entry Tx::resolve_above(VBoxBase* box) {
+  Entry read;
+  read.box = box;
+  read.read = true;
+  for (Tx* anc = parent_; anc != nullptr; anc = anc->parent_) {
+    std::scoped_lock lock{anc->merge_mutex_};
+    if (const Entry* entry = anc->set_.find(box);
+        entry != nullptr && entry->written) {
+      read.value = entry->value;
+      read.owner = anc;
+      read.read_stamp = entry->write_stamp;
+      return read;
+    }
+  }
+  read.value = read_at_snapshot(box);
+  return read;
 }
 
 std::shared_ptr<const void> Tx::read_raw(const VBoxBase& cbox) {
   auto* box = const_cast<VBoxBase*>(&cbox);
   stm_->counters().bump_read();
 
-  // 1. own (tentative) writes win.
-  if (auto it = writes_.find(box); it != writes_.end()) return it->second.value;
-  // 2.–4. cached (repeatable within one attempt regardless of concurrent
-  // sibling merges — the conflict surfaces at commit-time validation), else
-  // the nearest ancestor write towards the root, else the global chain.
-  if (auto it = reads_.find(box); it != reads_.end()) return it->second.value;
-  return reads_.emplace(box, resolve_above(box)).first->second.value;
+  // A read-only tree writes nothing, so only the chain can hold the box.
+  if (root_->read_only_) return read_at_snapshot(box);
+  // 1.–2. own (tentative) writes win, then cached reads (repeatable within
+  // one attempt regardless of concurrent sibling merges — the conflict
+  // surfaces at commit-time validation): either is the entry's value.
+  if (const Entry* entry = set_.find(box)) return entry->value;
+  // 3.–4. the nearest ancestor write towards the root, else the global chain.
+  return set_.insert(resolve_above(box)).value;
 }
 
 void Tx::write_raw(const VBoxBase& cbox, std::shared_ptr<const void> value) {
@@ -49,11 +129,12 @@ void Tx::write_raw(const VBoxBase& cbox, std::shared_ptr<const void> value) {
   }
   auto* box = const_cast<VBoxBase*>(&cbox);
   stm_->counters().bump_write();
-  auto [it, inserted] = writes_.try_emplace(box, WriteEntry{nullptr, next_stamp_});
-  if (inserted) {
-    ++next_stamp_;
+  Entry& entry = set_.find_or_insert(box);
+  if (!entry.written) {
+    entry.written = true;
+    entry.write_stamp = next_stamp_++;
   }
-  it->second.value = std::move(value);
+  entry.value = std::move(value);
 }
 
 void Tx::commit_into_parent() {
@@ -79,40 +160,48 @@ void Tx::commit_into_parent() {
   //  * propagation collision: if the parent already tracks a read of the
   //    same box that resolved elsewhere, the tree observed the box in two
   //    distinct states — retry this child so it re-reads the current one.
-  for (auto& [box, read_entry] : reads_) {
-    auto write_it = parent->writes_.find(box);
-    if (read_entry.owner == parent) {
-      if (write_it == parent->writes_.end() ||
-          write_it->second.stamp != read_entry.stamp) {
+  for (const Entry& mine : set_.entries()) {
+    if (!mine.read) continue;
+    const Entry* theirs = parent->set_.find(mine.box);
+    const bool parent_wrote = theirs != nullptr && theirs->written;
+    if (mine.owner == parent) {
+      if (!parent_wrote || theirs->write_stamp != mine.read_stamp) {
         throw ConflictError{ConflictKind::kSiblingWrite};
       }
       continue;
     }
-    if (write_it != parent->writes_.end()) {
-      throw ConflictError{ConflictKind::kSiblingWrite};
-    }
-    if (auto it = parent->reads_.find(box); it != parent->reads_.end() &&
-        (it->second.owner != read_entry.owner ||
-         it->second.stamp != read_entry.stamp)) {
+    if (parent_wrote) throw ConflictError{ConflictKind::kSiblingWrite};
+    if (theirs != nullptr && theirs->read &&
+        (theirs->owner != mine.owner || theirs->read_stamp != mine.read_stamp)) {
       throw ConflictError{ConflictKind::kStaleReRead};
     }
   }
 
   // ---- phase 2: merge (this is the serialization point of the child
   // among its siblings) ---------------------------------------------------
-  for (auto& [box, write_entry] : writes_) {
-    parent->writes_[box] =
-        WriteEntry{std::move(write_entry.value), parent->next_stamp_++};
-  }
-  // Propagate reads resolved above the parent upwards; they are validated
-  // when the parent itself commits one level up (compositional validation).
-  // Reads of the parent's own tentative writes are discharged here: the
-  // stamp check above was their last obligation — later siblings serialize
-  // after this child, and the parent itself resumes only after all children
-  // join.
-  for (auto& [box, read_entry] : reads_) {
-    if (read_entry.owner == parent) continue;
-    parent->reads_.emplace(box, std::move(read_entry));
+  //
+  // Writes land in the parent under a fresh parent stamp. Reads resolved
+  // above the parent propagate upwards; they are validated when the parent
+  // itself commits one level up (compositional validation). Reads of the
+  // parent's own tentative writes are discharged here: the stamp check
+  // above was their last obligation — later siblings serialize after this
+  // child, and the parent itself resumes only after all children join. A
+  // propagated read never replaces the parent's value: a written entry's
+  // value is its pending write, and an existing read holds the same state.
+  for (Entry& mine : set_.entries()) {
+    if (!mine.written && mine.owner == parent) continue;
+    Entry& theirs = parent->set_.find_or_insert(mine.box);
+    if (mine.written) {
+      theirs.value = std::move(mine.value);
+      theirs.write_stamp = parent->next_stamp_++;
+      theirs.written = true;
+    }
+    if (mine.read && mine.owner != parent && !theirs.read) {
+      if (!theirs.written) theirs.value = std::move(mine.value);
+      theirs.owner = mine.owner;
+      theirs.read_stamp = mine.read_stamp;
+      theirs.read = true;
+    }
   }
 }
 
@@ -151,7 +240,14 @@ void Tx::run_child(const std::function<void(Tx&)>& body) {
 void Tx::commit_top_level(const CommitManager::Exclusive* held) {
   // Transactions with no writes commit trivially: their snapshot is a
   // consistent cut of the multi-version store.
-  if (writes_.empty()) return;
+  std::vector<Entry>& entries = set_.entries();
+  std::size_t reads = 0;
+  std::size_t writes = 0;
+  for (const Entry& entry : entries) {
+    reads += entry.read ? 1 : 0;
+    writes += entry.written ? 1 : 0;
+  }
+  if (writes == 0) return;
 
   // Chaos hook: forge a top-level validation failure just before the commit
   // manager runs the real protocol. Skipped for escalated attempts — under
@@ -167,11 +263,13 @@ void Tx::commit_top_level(const CommitManager::Exclusive* held) {
   // were discharged at the level that owns the write.
   CommitRequest request;
   request.snapshot = snapshot_;
-  request.read_boxes.reserve(reads_.size());
-  for (const auto& [box, read_entry] : reads_) request.read_boxes.push_back(box);
-  request.writes.reserve(writes_.size());
-  for (auto& [box, write_entry] : writes_) {
-    request.writes.push_back(CommitWrite{box, std::move(write_entry.value)});
+  request.read_boxes.reserve(reads);
+  request.writes.reserve(writes);
+  for (Entry& entry : entries) {
+    if (entry.read) request.read_boxes.push_back(entry.box);
+    if (entry.written) {
+      request.writes.push_back(CommitWrite{entry.box, std::move(entry.value)});
+    }
   }
   if (held != nullptr) {
     stm_->commit_manager().commit(request, *held);

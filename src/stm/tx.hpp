@@ -18,6 +18,15 @@
 //      (each guarded by the ancestor's merge mutex, since X's siblings
 //      commit-merge into those sets concurrently);
 //   4. the global version chain at the root snapshot.
+// In a read-only tree (Stm::read_only) nothing is written, so steps 1–3
+// can never find B: every read goes straight to the chain at the root
+// snapshot and records nothing. The root's registered snapshot keeps that
+// body reachable, and a snapshot read never needs validating.
+//
+// A transaction's reads and writes live in one flat set of box entries, in
+// insertion order (Tx::BoxSet): scanned linearly while small, indexed by an
+// open-addressing table of positions past kLinearSetMax entries. Neither
+// allocates per entry.
 //
 // The conflict unit is the versioned box, as in JVSTM: a read entry remembers
 // the one level it resolved at — the ancestor whose pending write it
@@ -37,7 +46,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -87,28 +95,64 @@ class Tx {
   /// Untyped transactional write (buffered full overwrite).
   void write_raw(const VBoxBase& box, std::shared_ptr<const void> value);
 
-  /// Number of entries in the write set (diagnostics).
-  [[nodiscard]] std::size_t write_set_size() const noexcept { return writes_.size(); }
+  /// Number of boxes this transaction has written (diagnostics).
+  [[nodiscard]] std::size_t write_set_size() const noexcept;
 
-  /// Number of read-set entries (diagnostics).
-  [[nodiscard]] std::size_t read_set_size() const noexcept { return reads_.size(); }
+  /// Number of boxes in the read set (diagnostics); 0 in a read-only tree.
+  [[nodiscard]] std::size_t read_set_size() const noexcept;
+
+  /// Entries a box set scans linearly before it builds its index.
+  static constexpr std::size_t kLinearSetMax = 8;
 
  private:
   friend class Stm;
 
-  struct WriteEntry {
-    std::shared_ptr<const void> value;  ///< pending full overwrite
-    std::uint64_t stamp;  ///< parent-local monotone stamp; bumped on merge
+  /// One box this transaction read or wrote. `value` is the pending write
+  /// when `written`, else the cached read (repeatable within the attempt).
+  struct Entry {
+    VBoxBase* box = nullptr;
+    std::shared_ptr<const void> value;
+    /// Read side, meaningful when `read`: the ancestor whose pending write
+    /// the read consumed (nullptr when it resolved in the global chain at
+    /// the root snapshot) and that ancestor entry's stamp at read time.
+    Tx* owner = nullptr;
+    std::uint64_t read_stamp = 0;
+    /// Write side, meaningful when `written`: this transaction's monotone
+    /// stamp for the entry, bumped whenever a child merges a write into it.
+    std::uint64_t write_stamp = 0;
+    bool read = false;
+    bool written = false;
   };
 
-  /// One resolved read: the cached value (repeatable within the attempt)
-  /// plus where it resolved, for commit-time revalidation.
-  struct ReadEntry {
-    std::shared_ptr<const void> value;
-    /// The ancestor whose pending write the read consumed; nullptr when it
-    /// resolved in the global chain at the root snapshot.
-    Tx* owner = nullptr;
-    std::uint64_t stamp = 0;  ///< owner's entry stamp at read time
+  /// The entries of one transaction, keyed by box, in insertion order. Up
+  /// to kLinearSetMax entries a lookup scans them; past that it probes
+  /// `index_`, a power-of-two table of entry positions + 1 (0 = empty slot)
+  /// kept at most half full and rebuilt on growth.
+  class BoxSet {
+   public:
+    [[nodiscard]] Entry* find(const VBoxBase* box) noexcept;
+    /// Appends `entry`, whose box must not be in the set yet. The returned
+    /// reference is valid until the next insertion.
+    Entry& insert(Entry entry);
+    Entry& find_or_insert(VBoxBase* box) {
+      if (Entry* entry = find(box)) return *entry;
+      Entry fresh;
+      fresh.box = box;
+      return insert(std::move(fresh));
+    }
+    [[nodiscard]] std::vector<Entry>& entries() noexcept { return entries_; }
+    [[nodiscard]] const std::vector<Entry>& entries() const noexcept {
+      return entries_;
+    }
+
+   private:
+    [[nodiscard]] std::size_t slot_of(const VBoxBase* box) const noexcept;
+    void index(std::uint32_t position) noexcept;
+    void rebuild(std::size_t slots);
+
+    std::vector<Entry> entries_;
+    std::vector<std::uint32_t> index_;
+    int shift_ = 64;  ///< 64 - log2(index_.size())
   };
 
   /// `child_limit` sizes the tree's budget; only a root's is used.
@@ -118,9 +162,15 @@ class Tx {
   /// and merges it, retrying on sibling conflicts up to the retry budget.
   void run_child(const std::function<void(Tx&)>& body);
 
-  /// Resolves the value visible to this transaction ABOVE its own write set:
-  /// the nearest ancestor entry, else the global chain at the root snapshot.
-  [[nodiscard]] ReadEntry resolve_above(VBoxBase* box);
+  /// Resolves the value visible to this transaction ABOVE its own write set
+  /// (the nearest ancestor entry, else the global chain at the root
+  /// snapshot), as the read entry to record.
+  [[nodiscard]] Entry resolve_above(VBoxBase* box);
+
+  /// The value of `box` in the global chain at the root snapshot; throws
+  /// std::logic_error when the box was never seeded.
+  [[nodiscard]] std::shared_ptr<const void> read_at_snapshot(
+      const VBoxBase* box) const;
 
   /// Validates this child's reads against the parent's current write set and
   /// merges writes and reads upwards. Throws ConflictError on a sibling
@@ -138,14 +188,12 @@ class Tx {
   std::uint64_t snapshot_;
   int depth_;
 
-  // merge_mutex_ guards writes_/reads_/next_stamp_ when
-  // the transaction is suspended in run_children and its children read from
-  // or merge into it. While the transaction itself runs, nobody else touches
-  // its sets, but children lock unconditionally for simplicity (uncontended
-  // fast path).
+  // merge_mutex_ guards set_/next_stamp_ when the transaction is suspended
+  // in run_children and its children read from or merge into it. While the
+  // transaction itself runs, nobody else touches its set, but children lock
+  // unconditionally for simplicity (uncontended fast path).
   std::mutex merge_mutex_;
-  std::unordered_map<VBoxBase*, WriteEntry> writes_ AUTOPN_GUARDED_BY(merge_mutex_);
-  std::unordered_map<VBoxBase*, ReadEntry> reads_ AUTOPN_GUARDED_BY(merge_mutex_);
+  BoxSet set_ AUTOPN_GUARDED_BY(merge_mutex_);
   std::uint64_t next_stamp_ AUTOPN_GUARDED_BY(merge_mutex_) = 1;
 
   /// Per-tree child-concurrency budget (limit c); only the root's is used.

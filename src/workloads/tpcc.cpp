@@ -158,7 +158,7 @@ void TpccBenchmark::payment(int warehouse, int district, int customer,
 }
 
 long long TpccBenchmark::order_status(int warehouse, int district, int customer) {
-  return stm_->run_top_returning<long long>([&](stm::Tx& tx) {
+  return stm_->read_only<long long>([&](stm::Tx& tx) {
     const int dkey = district_key(warehouse, district);
     const DistrictRow drow = districts_.get(tx, dkey).value();
     const stm::TLog<OrderRow>& log = orders(warehouse, district);
@@ -219,10 +219,10 @@ int TpccBenchmark::delivery(int warehouse) {
 
 int TpccBenchmark::stock_level(int warehouse, int district, int threshold,
                                int recent_orders) {
-  return stm_->run_top_returning<int>([&](stm::Tx& tx) {
+  return stm_->read_only<int>([&](stm::Tx& tx) {
     const int dkey = district_key(warehouse, district);
     const DistrictRow drow = districts_.get(tx, dkey).value();
-    std::vector<int> seen;
+    std::vector<char> seen(config_.items, 0);  // by item_id
     int low = 0;
     const int newest = drow.next_order_id - 1;
     const int oldest = std::max(1, newest - recent_orders + 1);
@@ -230,10 +230,9 @@ int TpccBenchmark::stock_level(int warehouse, int district, int threshold,
     for (int oid = newest; oid >= oldest; --oid) {
       const OrderRow order = log.read(tx, oid);
       for (const OrderLine& line : order.lines) {
-        if (std::find(seen.begin(), seen.end(), line.item_id) != seen.end()) {
-          continue;
-        }
-        seen.push_back(line.item_id);
+        char& item_seen = seen[static_cast<std::size_t>(line.item_id)];
+        if (item_seen != 0) continue;
+        item_seen = 1;
         const StockRow srow =
             stock_.get(tx, stock_key(line.supply_warehouse, line.item_id)).value();
         if (srow.quantity < threshold) ++low;
@@ -279,7 +278,7 @@ void TpccBenchmark::run_many(std::size_t count, util::Rng& rng) {
 }
 
 bool TpccBenchmark::verify_consistency() {
-  return stm_->run_top_returning<bool>([&](stm::Tx& tx) {
+  return stm_->read_only<bool>([&](stm::Tx& tx) {
     bool ok = true;
 
     // Walk every district's orders by id. The ids are dense: each id below

@@ -120,6 +120,9 @@ class TpccBenchmark {
   }
 
  private:
+  /// Reference scans over peek() in the workload tests.
+  friend struct TpccReference;
+
   // Flat integer keys for the composite relations.
   [[nodiscard]] int district_key(int warehouse, int district) const;
   [[nodiscard]] int customer_key(int warehouse, int district, int customer) const;

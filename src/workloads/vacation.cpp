@@ -131,7 +131,7 @@ void VacationBenchmark::update_tables(util::Rng& rng) {
 }
 
 int VacationBenchmark::query_customer_total(int customer_id) {
-  return stm_->run_top_returning<int>([&](stm::Tx& tx) {
+  return stm_->read_only<int>([&](stm::Tx& tx) {
     auto record = customers_.get(tx, customer_id);
     int total = 0;
     if (record.has_value()) {
@@ -161,7 +161,7 @@ void VacationBenchmark::run_many(std::size_t count, util::Rng& rng) {
 }
 
 bool VacationBenchmark::verify_consistency() {
-  return stm_->run_top_returning<bool>([&](stm::Tx& tx) {
+  return stm_->read_only<bool>([&](stm::Tx& tx) {
     // Tally reservations held by customers per (kind, resource).
     std::vector<std::vector<int>> held(
         kKinds, std::vector<int>(config_.relations, 0));

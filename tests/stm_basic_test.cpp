@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "stm/containers.hpp"
 #include "stm/stm.hpp"
 
 namespace autopn::stm {
@@ -388,6 +389,104 @@ TEST(StmBasic, ReadOnlyChildWriteRejected) {
   }),
                std::logic_error);
   EXPECT_EQ(box.peek(), 1);
+}
+
+TEST(StmBasic, ReadOnlyTransactionKeepsNoReadSet) {
+  Stm stm{small_config()};
+  TArray<int> arr{256, 1};
+  const std::size_t recorded = stm.read_only<std::size_t>([&](Tx& tx) {
+    int sum = 0;
+    for (std::size_t i = 0; i < arr.size(); ++i) sum += arr.read(tx, i);
+    EXPECT_EQ(sum, 256);
+    return tx.read_set_size();
+  });
+  EXPECT_EQ(recorded, 0u);
+  EXPECT_EQ(stm.stats().reads, 256u);  // every read is still counted
+}
+
+TEST(StmBasic, ReadOnlyReadsStayOnTheirSnapshot) {
+  // Two writers commit between two reads of one box inside one read-only
+  // body. Without a read set, the second read finds the body at the
+  // snapshot in the chain again; the registered snapshot keeps it unpruned.
+  Stm stm{small_config()};
+  VBox<int> box{1};
+  std::latch first_read{1};
+  std::latch written{1};
+  std::jthread writer([&] {
+    first_read.wait();
+    stm.run_top([&](Tx& tx) { box.write(tx, 2); });
+    stm.run_top([&](Tx& tx) { box.write(tx, 3); });
+    written.count_down();
+  });
+  const auto [before, after] = stm.read_only<std::pair<int, int>>([&](Tx& tx) {
+    const int first = box.read(tx);
+    first_read.count_down();
+    written.wait();
+    return std::pair{first, box.read(tx)};
+  });
+  EXPECT_EQ(before, 1);
+  EXPECT_EQ(after, 1);
+  EXPECT_EQ(box.peek(), 3);
+  EXPECT_EQ(stm.clock(), 2u);
+}
+
+// ---- the flat box set past its index ----------------------------------------
+
+constexpr std::size_t kManyBoxes = 1000;
+static_assert(kManyBoxes > 4 * Tx::kLinearSetMax);
+
+TEST(StmBasic, LargeSetPastItsIndexCommits) {
+  Stm stm{small_config()};
+  TArray<int> arr{kManyBoxes, 1};
+  stm.run_top([&](Tx& tx) {
+    for (std::size_t i = 0; i < kManyBoxes; ++i) {
+      arr.write(tx, i, arr.read(tx, i) + static_cast<int>(i));
+    }
+    // Every box is found again: reads see the pending writes.
+    for (std::size_t i = 0; i < kManyBoxes; ++i) {
+      ASSERT_EQ(arr.read(tx, i), 1 + static_cast<int>(i));
+    }
+    EXPECT_EQ(tx.read_set_size(), kManyBoxes);
+    EXPECT_EQ(tx.write_set_size(), kManyBoxes);
+  });
+  for (std::size_t i = 0; i < kManyBoxes; ++i) {
+    ASSERT_EQ(arr.peek(i), 1 + static_cast<int>(i));
+  }
+  EXPECT_EQ(stm.stats().top_commits, 1u);
+  EXPECT_EQ(stm.stats().top_aborts, 0u);
+}
+
+TEST(StmBasic, ConflictOnTheLastReadBoxOfALargeSetIsDetected) {
+  // The first attempt reads every box, then parks while another
+  // transaction overwrites the box it read last. Validation must find that
+  // box through the index and abort the attempt; the retry sees the write.
+  Stm stm{small_config()};
+  stm.set_contention_profiling(true);
+  TArray<int> arr{kManyBoxes, 0, "arr"};
+  VBox<long> sum_box{0L};
+  std::latch parked{1};
+  std::latch overwritten{1};
+  std::jthread writer([&] {
+    parked.wait();
+    stm.run_top([&](Tx& tx) { arr.write(tx, kManyBoxes - 1, 7); });
+    overwritten.count_down();
+  });
+  int attempts = 0;
+  stm.run_top([&](Tx& tx) {
+    long sum = 0;
+    for (std::size_t i = 0; i < kManyBoxes; ++i) sum += arr.read(tx, i);
+    sum_box.write(tx, sum);
+    if (++attempts == 1) {
+      parked.count_down();
+      overwritten.wait();
+    }
+  });
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(sum_box.peek(), 7L);
+  EXPECT_EQ(stm.stats().aborts_validation, 1u);
+  const auto hotspots = stm.contention_hotspots();
+  ASSERT_FALSE(hotspots.empty());
+  EXPECT_EQ(hotspots[0].label, "arr[" + std::to_string(kManyBoxes - 1) + "]");
 }
 
 TEST(StmBasic, WriteSetSizeTracksDistinctBoxes) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <semaphore>
 #include <thread>
 #include <vector>
 
@@ -215,6 +216,54 @@ TEST(Nesting, ChildReadValidatedAgainstSiblingWrite) {
     tx.run_children(std::move(kids));
   });
   EXPECT_EQ(box.peek(), 2);
+}
+
+TEST(Nesting, ChildMergingPastTheIndexValidatesAgainstItsParent) {
+  // Both the parent's and each child's box set grow past the linear-scan
+  // size. Two overlapping children each read every box — the parent's
+  // tentative writes first, then the global ones, the shared `hot` box
+  // last — and increment `hot`. Whichever merges second must fail
+  // validation on `hot` against the parent and retry, or an increment is
+  // lost.
+  constexpr std::size_t kBoxes = 4 * Tx::kLinearSetMax;
+  Stm stm{nest_config(/*pool=*/2, /*c=*/2)};
+  TArray<int> parents{kBoxes, 0};
+  TArray<int> globals{kBoxes, 1};
+  TArray<int> own{2 * kBoxes, 0};
+  VBox<int> hot{0};
+  std::binary_semaphore read_done[2]{std::binary_semaphore{0},
+                                     std::binary_semaphore{0}};
+  std::atomic<bool> first_attempt[2]{true, true};
+  std::atomic<int> overlapped{0};
+  stm.run_top([&](Tx& tx) {
+    for (std::size_t i = 0; i < kBoxes; ++i) parents.write(tx, i, 5);
+    std::vector<std::function<void(Tx&)>> kids;
+    for (std::size_t k = 0; k < 2; ++k) {
+      kids.emplace_back([&, k](Tx& child) {
+        int seen = 0;
+        for (std::size_t i = 0; i < kBoxes; ++i) seen += parents.read(child, i);
+        for (std::size_t i = 0; i < kBoxes; ++i) seen += globals.read(child, i);
+        const int h = hot.read(child);
+        EXPECT_GE(child.read_set_size(), 2 * kBoxes);
+        for (std::size_t i = 0; i < kBoxes; ++i) own.write(child, k * kBoxes + i, seen);
+        hot.write(child, h + 1);
+        if (first_attempt[k].exchange(false)) {
+          // Bounded: without a second thread the children cannot overlap,
+          // and the test fails below instead of hanging.
+          read_done[k].release();
+          if (read_done[1 - k].try_acquire_for(std::chrono::seconds{10})) {
+            overlapped.fetch_add(1);
+          }
+        }
+      });
+    }
+    tx.run_children(std::move(kids));
+  });
+  ASSERT_EQ(overlapped.load(), 2) << "the two children never overlapped";
+  EXPECT_EQ(hot.peek(), 2);
+  EXPECT_GE(stm.stats().aborts_sibling, 1u);
+  const int expected = static_cast<int>(kBoxes) * (5 + 1);
+  for (std::size_t i = 0; i < 2 * kBoxes; ++i) ASSERT_EQ(own.peek(i), expected);
 }
 
 TEST(Nesting, EmptyChildBatchIsNoop) {

@@ -2,9 +2,11 @@
 // under concurrent execution at various (t, c) settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +17,42 @@
 #include "workloads/vacation.hpp"
 
 namespace autopn::workloads {
+
+/// Order-Status and Stock-Level recomputed outside any transaction, from the
+/// newest committed values (peek()); valid on a quiescent benchmark.
+struct TpccReference {
+  static long long order_status(const TpccBenchmark& b, int w, int d, int customer) {
+    const DistrictRow drow = b.districts_.peek(b.district_key(w, d)).value();
+    const stm::TLog<OrderRow>& log = b.orders(w, d);
+    for (int oid = drow.next_order_id - 1; oid >= 1; --oid) {
+      const OrderRow order = log.box(oid).peek();
+      if (order.customer_id != customer) continue;
+      long long total = 0;
+      for (const OrderLine& line : order.lines) total += line.amount;
+      return total;
+    }
+    return 0;
+  }
+
+  static int stock_level(const TpccBenchmark& b, int w, int d, int threshold,
+                         int recent_orders = 20) {
+    const DistrictRow drow = b.districts_.peek(b.district_key(w, d)).value();
+    const stm::TLog<OrderRow>& log = b.orders(w, d);
+    std::set<int> seen;
+    int low = 0;
+    const int newest = drow.next_order_id - 1;
+    for (int oid = newest; oid >= std::max(1, newest - recent_orders + 1); --oid) {
+      for (const OrderLine& line : log.box(oid).peek().lines) {
+        if (!seen.insert(line.item_id).second) continue;
+        const StockRow srow =
+            b.stock_.peek(b.stock_key(line.supply_warehouse, line.item_id)).value();
+        if (srow.quantity < threshold) ++low;
+      }
+    }
+    return low;
+  }
+};
+
 namespace {
 
 stm::StmConfig cfg(std::size_t top, std::size_t children) {
@@ -293,6 +331,41 @@ TEST(TpccWorkload, StockLevelCountsLowStock) {
   EXPECT_GT(high, 0);
   // Threshold of 0: no stock row can be below it.
   EXPECT_EQ(bench.stock_level(0, 0, /*threshold=*/0), 0);
+}
+
+TEST(TpccWorkload, ReadOnlyProfilesMatchAReferenceScan) {
+  // Order-Status and Stock-Level run as read-only transactions; on a
+  // quiescent benchmark they must agree with a scan of the committed state
+  // for every (warehouse, district). Few items and a high remote fraction
+  // make Stock-Level meet repeated items and remote stock rows.
+  stm::Stm stm{cfg(2, 2)};
+  TpccConfig tcfg;
+  tcfg.warehouses = 2;
+  tcfg.districts_per_warehouse = 4;
+  tcfg.customers_per_district = 8;
+  tcfg.items = 60;
+  tcfg.remote_item_fraction = 0.3;
+  TpccBenchmark bench{stm, tcfg};
+  util::Rng rng{tcfg.seed};
+  bench.run_many(800, rng);
+  int low_total = 0;
+  for (int w = 0; w < 2; ++w) {
+    for (int d = 0; d < 4; ++d) {
+      for (int c = 0; c < 8; ++c) {
+        EXPECT_EQ(bench.order_status(w, d, c),
+                  TpccReference::order_status(bench, w, d, c))
+            << "w=" << w << " d=" << d << " c=" << c;
+      }
+      for (const int threshold : {0, 900, 950, 980, 1000, 2000}) {
+        const int low = bench.stock_level(w, d, threshold);
+        EXPECT_EQ(low, TpccReference::stock_level(bench, w, d, threshold))
+            << "w=" << w << " d=" << d << " threshold=" << threshold;
+        low_total += low;
+      }
+    }
+  }
+  EXPECT_GT(low_total, 0);
+  EXPECT_TRUE(bench.verify_consistency());
 }
 
 TEST(TpccWorkload, FullMixWithDeliveriesStaysConsistent) {
