@@ -74,8 +74,10 @@ done
 # The net and router tests exercise real sockets and cross-thread completion
 # posting: run them under ASan+UBSan combined as well (the TSan pass above
 # already covers them for races). The container conflict checkers join this
-# pass because commits hand copy-on-write buckets and cursors, and their
-# shared_ptr ownership, across threads — exactly ASan territory. So do the
+# pass because a copy-on-write bucket lives in a version body whose owner
+# changes hands — writing transaction, parent, retire list, chain — while
+# siblings and readers hold references into it: exactly ASan territory, and
+# LeakSanitizer checks that every owner frees what it holds. So do the
 # containers and workloads tests: TLog owns its segments through a raw
 # pointer published by CAS, and the loser of a race frees its copy. The
 # engine tests join too: workers parked above the top-level limit are woken

@@ -6,26 +6,25 @@
 
 namespace autopn::stm {
 
-void CommitManager::validate_or_throw(const CommitRequest& req) const {
-  for (const VBoxBase* box : req.read_boxes) {
-    if (box->newest_version() > req.snapshot) {
-      profiler_->note(box);
+void CommitManager::commit(std::uint64_t snapshot, std::span<TxEntry> entries) {
+  const Exclusive held{mutex_};
+  commit(snapshot, entries, held);
+}
+
+void CommitManager::commit(std::uint64_t snapshot, std::span<TxEntry> entries,
+                           const Exclusive& /*held*/) {
+  for (const TxEntry& entry : entries) {
+    if (entry.read() && entry.box->newest_version() > snapshot) {
+      profiler_->note(entry.box);
       throw ConflictError{ConflictKind::kTopLevelValidation};
     }
   }
-}
-
-void CommitManager::commit(CommitRequest& req) {
-  const Exclusive held{mutex_};
-  commit(req, held);
-}
-
-void CommitManager::commit(CommitRequest& req, const Exclusive& /*held*/) {
-  validate_or_throw(req);
   const std::uint64_t version = clock_->load(std::memory_order_relaxed) + 1;
   const std::uint64_t min_active = snapshots_->min_active();
-  for (auto& write : req.writes) {
-    write.box->install(std::move(write.value), version, min_active);
+  for (TxEntry& entry : entries) {
+    if (entry.written()) {
+      entry.box->install(std::move(entry.pending), version, min_active);
+    }
   }
   // seq_cst publish so the snapshot registry's publish-and-validate handshake
   // (snapshot_registry.hpp) totally orders this against registrations.

@@ -10,7 +10,7 @@
 // This deliberately departs from JVSTM's lock-free helping commit: measured
 // against it, the mutex ties end to end and is faster on the single-thread
 // commit path, and on libstdc++ the helping protocol's chain head
-// (std::atomic<std::shared_ptr>) is itself lock-based (DESIGN.md §9.5).
+// (an atomic shared pointer) is itself lock-based (DESIGN.md §9.5).
 //
 // The manager depends only on the narrow runtime environment it is
 // constructed with (clock, snapshot registry for pruning bounds, contention
@@ -18,8 +18,7 @@
 // independently constructible and unit-tested (tests/stm_commit_manager_test).
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <span>
 
 #include "stm/snapshot_registry.hpp"
 #include "stm/stats.hpp"
@@ -28,23 +27,32 @@
 
 namespace autopn::stm {
 
-/// One write to install: the box and its new value.
-struct CommitWrite {
-  VBoxBase* box = nullptr;
-  std::shared_ptr<const void> value;
-};
+class Tx;
 
-/// One top-level commit, materialized from the transaction's read and write
-/// sets.
-struct CommitRequest {
-  /// The root snapshot the transaction read from.
-  std::uint64_t snapshot = 0;
-  /// Boxes read from the global version chain; the commit is valid only
-  /// while each still has newest_version() <= snapshot at serialization
-  /// time.
-  std::vector<const VBoxBase*> read_boxes;
-  /// New values to install, one entry per written box.
-  std::vector<CommitWrite> writes;
+/// One box a transaction read or wrote, as its box set (tx.hpp) holds it;
+/// the commit manager validates and installs straight from these.
+struct TxEntry {
+  VBoxBase* box = nullptr;
+  /// The pending write, owned; empty when the box was not written.
+  BodyPtr pending{};
+  /// The cached read, borrowed from the chain or an ancestor's pending
+  /// write; nullptr when the box was not read.
+  const Body* seen = nullptr;
+  /// When read(): the ancestor whose pending write the read consumed
+  /// (nullptr for the global chain at the root snapshot), and that ancestor
+  /// entry's stamp at read time.
+  Tx* owner = nullptr;
+  std::uint64_t read_stamp = 0;
+  /// When written(): the transaction's monotone stamp for the entry, bumped
+  /// whenever a child merges a write into it.
+  std::uint64_t write_stamp = 0;
+
+  [[nodiscard]] bool read() const noexcept { return seen != nullptr; }
+  [[nodiscard]] bool written() const noexcept { return pending != nullptr; }
+  /// What the transaction sees: its pending write, else its cached read.
+  [[nodiscard]] const Body* body() const noexcept {
+    return written() ? pending.get() : seen;
+  }
 };
 
 class CommitManager {
@@ -65,26 +73,27 @@ class CommitManager {
   };
 
   /// Takes the commit mutex. An escalated attempt holds it from before its
-  /// snapshot through commit(req, held): no other commit lands in between.
+  /// snapshot through commit(snapshot, entries, held): no other commit lands
+  /// in between.
   [[nodiscard]] Exclusive lock_exclusive() { return Exclusive{mutex_}; }
 
-  /// Serializes one top-level commit: validates `req.read_boxes`, then
-  /// installs `req.writes` at a fresh version, publishing it to the clock.
-  /// Throws ConflictError{kTopLevelValidation} when a read is stale (the
-  /// failing box is reported to the contention profiler first).
-  /// `req.writes` may be consumed even on failure; the caller rebuilds it on
-  /// retry.
-  void commit(CommitRequest& req);
+  /// Serializes one top-level commit of a transaction that read from
+  /// `snapshot`: every read() entry's box must still have newest_version()
+  /// <= snapshot, and then every written() entry's body is installed at a
+  /// fresh version, which is published to the clock; the chains take the
+  /// installed bodies from their entries. Throws
+  /// ConflictError{kTopLevelValidation} when a read is stale (the failing
+  /// box is reported to the contention profiler first); validation runs
+  /// before any install, so a failed commit leaves every body with its
+  /// entry.
+  void commit(std::uint64_t snapshot, std::span<TxEntry> entries);
 
   /// The same commit, under a mutex the caller already holds. When `held`
-  /// was taken before `req.snapshot` was read, the validation is vacuous.
-  void commit(CommitRequest& req, const Exclusive& held);
+  /// was taken before `snapshot` was read, the validation is vacuous.
+  void commit(std::uint64_t snapshot, std::span<TxEntry> entries,
+              const Exclusive& held);
 
  private:
-  /// Every read box's newest version must still be at or below the
-  /// snapshot. Reports the first failing box and throws.
-  void validate_or_throw(const CommitRequest& req) const;
-
   sync::Atomic<std::uint64_t>* clock_;
   SnapshotRegistry* snapshots_;
   ContentionProfiler* profiler_;

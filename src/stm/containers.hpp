@@ -45,7 +45,7 @@ class TArray {
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
-  [[nodiscard]] T read(Tx& tx, std::size_t index) const {
+  [[nodiscard]] const T& read(Tx& tx, std::size_t index) const {
     return slot(index).read(tx);
   }
 
@@ -94,14 +94,13 @@ class TMap {
   [[nodiscard]] std::size_t bucket_count() const noexcept { return buckets_.size(); }
   /// Looks a key up; std::nullopt when absent.
   [[nodiscard]] std::optional<Value> get(Tx& tx, const Key& key) const {
-    const auto bucket = tx.read_raw(box_for(key));
-    return copy_value(find_entry(*cast(bucket), key));
+    return lookup(box_for(key).read(tx), key);
   }
 
   /// Non-transactional lookup in the newest committed bucket
   /// (verification; requires quiescence).
   [[nodiscard]] std::optional<Value> peek(const Key& key) const {
-    return copy_value(find_entry(box_for(key).peek(), key));
+    return lookup(box_for(key).peek(), key);
   }
 
   [[nodiscard]] bool contains(Tx& tx, const Key& key) const {
@@ -111,26 +110,24 @@ class TMap {
   /// Inserts or overwrites.
   void put(Tx& tx, const Key& key, Value value) const {
     const VBox<Bucket>& box = box_for(key);
-    const auto read = tx.read_raw(box);
-    Bucket bucket = *cast(read);
+    Bucket bucket = box.read(tx);
     if (Entry* entry = find_entry(bucket, key)) {
       entry->value = std::move(value);
     } else {
       bucket.push_back(Entry{key, std::move(value)});
     }
-    tx.write_raw(box, std::make_shared<const Bucket>(std::move(bucket)));
+    box.write(tx, std::move(bucket));
   }
 
   /// Removes a key; returns whether it was present.
   bool erase(Tx& tx, const Key& key) const {
     const VBox<Bucket>& box = box_for(key);
-    const auto read = tx.read_raw(box);
-    Bucket bucket = *cast(read);
+    Bucket bucket = box.read(tx);
     auto it = std::find_if(bucket.begin(), bucket.end(),
                            [&](const Entry& e) { return e.key == key; });
     if (it == bucket.end()) return false;
     bucket.erase(it);
-    tx.write_raw(box, std::make_shared<const Bucket>(std::move(bucket)));
+    box.write(tx, std::move(bucket));
     return true;
   }
 
@@ -138,38 +135,29 @@ class TMap {
   /// (scans every bucket; O(capacity)).
   void for_each(Tx& tx, const std::function<void(const Key&, const Value&)>& fn) const {
     for (const auto& box : buckets_) {
-      const auto bucket = tx.read_raw(*box);
-      for (const Entry& entry : *cast(bucket)) fn(entry.key, entry.value);
+      for (const Entry& entry : box->read(tx)) fn(entry.key, entry.value);
     }
   }
 
   /// Number of entries visible to the transaction (O(capacity)).
   [[nodiscard]] std::size_t size(Tx& tx) const {
     std::size_t n = 0;
-    for (const auto& box : buckets_) n += cast(tx.read_raw(*box))->size();
+    for (const auto& box : buckets_) n += box->read(tx).size();
     return n;
   }
 
  private:
-  [[nodiscard]] static const Bucket* cast(const std::shared_ptr<const void>& p) {
-    return static_cast<const Bucket*>(p.get());
+  /// The entry for `key` in `bucket` (const or not), or nullptr.
+  template <typename B>
+  [[nodiscard]] static auto* find_entry(B& bucket, const Key& key) {
+    auto it = std::find_if(bucket.begin(), bucket.end(),
+                           [&](const Entry& e) { return e.key == key; });
+    return it == bucket.end() ? nullptr : &*it;
   }
 
-  [[nodiscard]] static const Entry* find_entry(const Bucket& bucket,
-                                               const Key& key) {
-    for (const Entry& entry : bucket) {
-      if (entry.key == key) return &entry;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] static Entry* find_entry(Bucket& bucket, const Key& key) {
-    for (Entry& entry : bucket) {
-      if (entry.key == key) return &entry;
-    }
-    return nullptr;
-  }
-
-  [[nodiscard]] static std::optional<Value> copy_value(const Entry* entry) {
+  [[nodiscard]] static std::optional<Value> lookup(const Bucket& bucket,
+                                                   const Key& key) {
+    const Entry* entry = find_entry(bucket, key);
     if (entry == nullptr) return std::nullopt;
     return entry->value;
   }
@@ -201,7 +189,7 @@ class TLog {
   TLog(const TLog&) = delete;
   TLog& operator=(const TLog&) = delete;
 
-  [[nodiscard]] T read(Tx& tx, int id) const { return box(id).read(tx); }
+  [[nodiscard]] const T& read(Tx& tx, int id) const { return box(id).read(tx); }
 
   void write(Tx& tx, int id, T value) const { box(id).write(tx, std::move(value)); }
 

@@ -18,6 +18,8 @@ Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot, std::size_t child_limit)
       depth_(parent != nullptr ? parent->depth_ + 1 : 0),
       budget_(child_limit) {}
 
+Tx::~Tx() { destroy_chain(retired_); }
+
 // ---- BoxSet ----------------------------------------------------------------
 
 std::size_t Tx::BoxSet::slot_of(const VBoxBase* box) const noexcept {
@@ -42,7 +44,7 @@ Tx::Entry* Tx::BoxSet::find(const VBoxBase* box) noexcept {
   }
 }
 
-Tx::Entry& Tx::BoxSet::insert(Entry entry) {
+Tx::Entry& Tx::BoxSet::insert(Entry&& entry) {
   if (entries_.empty()) entries_.reserve(kLinearSetMax);
   entries_.push_back(std::move(entry));
   const std::size_t size = entries_.size();
@@ -73,43 +75,40 @@ void Tx::BoxSet::rebuild(std::size_t slots) {
 
 std::size_t Tx::write_set_size() const noexcept {
   return static_cast<std::size_t>(
-      std::count_if(set_.entries().begin(), set_.entries().end(),
-                    [](const Entry& entry) { return entry.written; }));
+      std::ranges::count_if(set_.entries(), &Entry::written));
 }
 
 std::size_t Tx::read_set_size() const noexcept {
   return static_cast<std::size_t>(
-      std::count_if(set_.entries().begin(), set_.entries().end(),
-                    [](const Entry& entry) { return entry.read; }));
+      std::ranges::count_if(set_.entries(), &Entry::read));
 }
 
-std::shared_ptr<const void> Tx::read_at_snapshot(const VBoxBase* box) const {
+const Body* Tx::read_at_snapshot(const VBoxBase* box) const {
   const Body* body = box->body_at(root_->snapshot_);
   if (body == nullptr) {
     throw std::logic_error{"transactional read of an uninitialized VBox"};
   }
-  return body->value.read();
+  return body;
+}
+
+void Tx::retire(Body* body) noexcept {
+  body->next.store(retired_, std::memory_order_relaxed);
+  retired_ = body;
 }
 
 Tx::Entry Tx::resolve_above(VBoxBase* box) {
-  Entry read;
-  read.box = box;
-  read.read = true;
   for (Tx* anc = parent_; anc != nullptr; anc = anc->parent_) {
     std::scoped_lock lock{anc->merge_mutex_};
     if (const Entry* entry = anc->set_.find(box);
-        entry != nullptr && entry->written) {
-      read.value = entry->value;
-      read.owner = anc;
-      read.read_stamp = entry->write_stamp;
-      return read;
+        entry != nullptr && entry->written()) {
+      return Entry{.box = box, .seen = entry->body(), .owner = anc,
+                   .read_stamp = entry->write_stamp};
     }
   }
-  read.value = read_at_snapshot(box);
-  return read;
+  return Entry{.box = box, .seen = read_at_snapshot(box)};
 }
 
-std::shared_ptr<const void> Tx::read_raw(const VBoxBase& cbox) {
+const Body* Tx::read_body(const VBoxBase& cbox) {
   auto* box = const_cast<VBoxBase*>(&cbox);
   stm_->counters().bump_read();
 
@@ -117,24 +116,26 @@ std::shared_ptr<const void> Tx::read_raw(const VBoxBase& cbox) {
   if (root_->read_only_) return read_at_snapshot(box);
   // 1.–2. own (tentative) writes win, then cached reads (repeatable within
   // one attempt regardless of concurrent sibling merges — the conflict
-  // surfaces at commit-time validation): either is the entry's value.
-  if (const Entry* entry = set_.find(box)) return entry->value;
+  // surfaces at commit-time validation): either is the entry's body.
+  if (const Entry* entry = set_.find(box)) return entry->body();
   // 3.–4. the nearest ancestor write towards the root, else the global chain.
-  return set_.insert(resolve_above(box)).value;
+  return set_.insert(resolve_above(box)).body();
 }
 
-void Tx::write_raw(const VBoxBase& cbox, std::shared_ptr<const void> value) {
+void Tx::write_body(const VBoxBase& cbox, BodyPtr body) {
   if (root_->read_only_) {
     throw std::logic_error{"write inside a read-only transaction"};
   }
   auto* box = const_cast<VBoxBase*>(&cbox);
   stm_->counters().bump_write();
   Entry& entry = set_.find_or_insert(box);
-  if (!entry.written) {
-    entry.written = true;
+  if (entry.written()) {
+    // This transaction may still hold a reference into the body it replaces.
+    retire(entry.pending.release());
+  } else {
     entry.write_stamp = next_stamp_++;
   }
-  entry.value = std::move(value);
+  entry.pending = std::move(body);
 }
 
 void Tx::commit_into_parent() {
@@ -161,9 +162,9 @@ void Tx::commit_into_parent() {
   //    same box that resolved elsewhere, the tree observed the box in two
   //    distinct states — retry this child so it re-reads the current one.
   for (const Entry& mine : set_.entries()) {
-    if (!mine.read) continue;
+    if (!mine.read()) continue;
     const Entry* theirs = parent->set_.find(mine.box);
-    const bool parent_wrote = theirs != nullptr && theirs->written;
+    const bool parent_wrote = theirs != nullptr && theirs->written();
     if (mine.owner == parent) {
       if (!parent_wrote || theirs->write_stamp != mine.read_stamp) {
         throw ConflictError{ConflictKind::kSiblingWrite};
@@ -171,7 +172,7 @@ void Tx::commit_into_parent() {
       continue;
     }
     if (parent_wrote) throw ConflictError{ConflictKind::kSiblingWrite};
-    if (theirs != nullptr && theirs->read &&
+    if (theirs != nullptr && theirs->read() &&
         (theirs->owner != mine.owner || theirs->read_stamp != mine.read_stamp)) {
       throw ConflictError{ConflictKind::kStaleReRead};
     }
@@ -186,21 +187,20 @@ void Tx::commit_into_parent() {
   // parent's own tentative writes are discharged here: the stamp check
   // above was their last obligation — later siblings serialize after this
   // child, and the parent itself resumes only after all children join. A
-  // propagated read never replaces the parent's value: a written entry's
-  // value is its pending write, and an existing read holds the same state.
+  // propagated read never replaces the parent's cached read: an existing
+  // read holds the same state.
   for (Entry& mine : set_.entries()) {
-    if (!mine.written && mine.owner == parent) continue;
+    if (!mine.written() && mine.owner == parent) continue;
     Entry& theirs = parent->set_.find_or_insert(mine.box);
-    if (mine.written) {
-      theirs.value = std::move(mine.value);
+    if (mine.written()) {
+      if (theirs.written()) parent->retire(theirs.pending.release());
+      theirs.pending = std::move(mine.pending);
       theirs.write_stamp = parent->next_stamp_++;
-      theirs.written = true;
     }
-    if (mine.read && mine.owner != parent && !theirs.read) {
-      if (!theirs.written) theirs.value = std::move(mine.value);
+    if (mine.read() && mine.owner != parent && !theirs.read()) {
+      theirs.seen = mine.seen;
       theirs.owner = mine.owner;
       theirs.read_stamp = mine.read_stamp;
-      theirs.read = true;
     }
   }
 }
@@ -240,14 +240,7 @@ void Tx::run_child(const std::function<void(Tx&)>& body) {
 void Tx::commit_top_level(const CommitManager::Exclusive* held) {
   // Transactions with no writes commit trivially: their snapshot is a
   // consistent cut of the multi-version store.
-  std::vector<Entry>& entries = set_.entries();
-  std::size_t reads = 0;
-  std::size_t writes = 0;
-  for (const Entry& entry : entries) {
-    reads += entry.read ? 1 : 0;
-    writes += entry.written ? 1 : 0;
-  }
-  if (writes == 0) return;
+  if (write_set_size() == 0) return;
 
   // Chaos hook: forge a top-level validation failure just before the commit
   // manager runs the real protocol. Skipped for escalated attempts — under
@@ -257,24 +250,12 @@ void Tx::commit_top_level(const CommitManager::Exclusive* held) {
                      throw ConflictError{ConflictKind::kInjected});
   }
 
-  // Materialize the read/write sets once and hand the request to the commit
-  // manager, which owns the serialization. Every read left at the root
-  // resolved in the global chain: reads of a tree's own tentative writes
-  // were discharged at the level that owns the write.
-  CommitRequest request;
-  request.snapshot = snapshot_;
-  request.read_boxes.reserve(reads);
-  request.writes.reserve(writes);
-  for (Entry& entry : entries) {
-    if (entry.read) request.read_boxes.push_back(entry.box);
-    if (entry.written) {
-      request.writes.push_back(CommitWrite{entry.box, std::move(entry.value)});
-    }
-  }
+  // Every read left at the root resolved in the global chain: reads of a
+  // tree's own tentative writes were discharged at the level that owns them.
   if (held != nullptr) {
-    stm_->commit_manager().commit(request, *held);
+    stm_->commit_manager().commit(snapshot_, set_.entries(), *held);
   } else {
-    stm_->commit_manager().commit(request);
+    stm_->commit_manager().commit(snapshot_, set_.entries());
   }
 }
 

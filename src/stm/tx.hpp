@@ -23,11 +23,6 @@
 // snapshot and records nothing. The root's registered snapshot keeps that
 // body reachable, and a snapshot read never needs validating.
 //
-// A transaction's reads and writes live in one flat set of box entries, in
-// insertion order (Tx::BoxSet): scanned linearly while small, indexed by an
-// open-addressing table of positions past kLinearSetMax entries. Neither
-// allocates per entry.
-//
 // The conflict unit is the versioned box, as in JVSTM: a read entry remembers
 // the one level it resolved at — the ancestor whose pending write it
 // consumed (with that entry's stamp), or the global chain — and commit-time
@@ -38,14 +33,24 @@
 // parent's merge mutex after validating the child's reads against what
 // siblings merged since. Reads resolved above the parent are propagated
 // upwards and validated when the enclosing transaction itself commits
-// (compositional validation). Top-level commit materializes the global read
-// set and the write set into a CommitRequest and hands it to the Stm's
-// CommitManager, which validates the reads against the version chains and
-// installs new versions under its commit mutex (see stm/commit_manager.hpp).
+// (compositional validation). Top-level commit hands the root's entries to
+// the Stm's CommitManager, which validates the reads against the version
+// chains and installs the written bodies under its commit mutex (see
+// stm/commit_manager.hpp).
+//
+// Value ownership: a write builds one ValueBody<T>, which never changes
+// after. A written entry owns its body; a read entry borrows a chain body
+// (kept alive by the root's registered snapshot) or an ancestor's pending
+// one. A pending body that is replaced — by a rewrite in the same
+// transaction, or by a child's merged write while siblings may still borrow
+// it — goes on its owner's retire list, chained through its unused `next`.
+// A transaction frees that list and the bodies it still owns when it ends;
+// a merge hands the child's bodies to the parent, and the top-level install
+// hands the root's to the chains. So VBox<T>::read's reference stays valid
+// and unchanged until the attempt ends.
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -88,13 +93,6 @@ class Tx {
   /// The root snapshot all global reads in this tree resolve against.
   [[nodiscard]] std::uint64_t snapshot() const noexcept { return snapshot_; }
 
-  /// Untyped transactional read; returns the value's erased pointer and
-  /// records a read of the box. VBox<T>::read is the typed entry point.
-  [[nodiscard]] std::shared_ptr<const void> read_raw(const VBoxBase& box);
-
-  /// Untyped transactional write (buffered full overwrite).
-  void write_raw(const VBoxBase& box, std::shared_ptr<const void> value);
-
   /// Number of boxes this transaction has written (diagnostics).
   [[nodiscard]] std::size_t write_set_size() const noexcept;
 
@@ -104,41 +102,30 @@ class Tx {
   /// Entries a box set scans linearly before it builds its index.
   static constexpr std::size_t kLinearSetMax = 8;
 
+  /// Frees the bodies this transaction still owns.
+  ~Tx();
+
  private:
   friend class Stm;
+  template <typename T>
+  friend class VBox;
 
-  /// One box this transaction read or wrote. `value` is the pending write
-  /// when `written`, else the cached read (repeatable within the attempt).
-  struct Entry {
-    VBoxBase* box = nullptr;
-    std::shared_ptr<const void> value;
-    /// Read side, meaningful when `read`: the ancestor whose pending write
-    /// the read consumed (nullptr when it resolved in the global chain at
-    /// the root snapshot) and that ancestor entry's stamp at read time.
-    Tx* owner = nullptr;
-    std::uint64_t read_stamp = 0;
-    /// Write side, meaningful when `written`: this transaction's monotone
-    /// stamp for the entry, bumped whenever a child merges a write into it.
-    std::uint64_t write_stamp = 0;
-    bool read = false;
-    bool written = false;
-  };
+  using Entry = TxEntry;
 
   /// The entries of one transaction, keyed by box, in insertion order. Up
   /// to kLinearSetMax entries a lookup scans them; past that it probes
   /// `index_`, a power-of-two table of entry positions + 1 (0 = empty slot)
-  /// kept at most half full and rebuilt on growth.
+  /// kept at most half full and rebuilt on growth. Neither allocates per
+  /// entry.
   class BoxSet {
    public:
     [[nodiscard]] Entry* find(const VBoxBase* box) noexcept;
     /// Appends `entry`, whose box must not be in the set yet. The returned
     /// reference is valid until the next insertion.
-    Entry& insert(Entry entry);
+    Entry& insert(Entry&& entry);
     Entry& find_or_insert(VBoxBase* box) {
       if (Entry* entry = find(box)) return *entry;
-      Entry fresh;
-      fresh.box = box;
-      return insert(std::move(fresh));
+      return insert(Entry{.box = box});
     }
     [[nodiscard]] std::vector<Entry>& entries() noexcept { return entries_; }
     [[nodiscard]] const std::vector<Entry>& entries() const noexcept {
@@ -162,15 +149,22 @@ class Tx {
   /// and merges it, retrying on sibling conflicts up to the retry budget.
   void run_child(const std::function<void(Tx&)>& body);
 
+  /// Untyped access behind VBox<T>: the body this transaction sees (recorded
+  /// in its read set), and a buffered full overwrite of `box`.
+  [[nodiscard]] const Body* read_body(const VBoxBase& box);
+  void write_body(const VBoxBase& box, BodyPtr body);
+
   /// Resolves the value visible to this transaction ABOVE its own write set
   /// (the nearest ancestor entry, else the global chain at the root
   /// snapshot), as the read entry to record.
   [[nodiscard]] Entry resolve_above(VBoxBase* box);
 
-  /// The value of `box` in the global chain at the root snapshot; throws
+  /// The body of `box` in the global chain at the root snapshot; throws
   /// std::logic_error when the box was never seeded.
-  [[nodiscard]] std::shared_ptr<const void> read_at_snapshot(
-      const VBoxBase* box) const;
+  [[nodiscard]] const Body* read_at_snapshot(const VBoxBase* box) const;
+
+  /// Keeps a replaced pending body, which may be borrowed, until this ends.
+  void retire(Body* body) noexcept;
 
   /// Validates this child's reads against the parent's current write set and
   /// merges writes and reads upwards. Throws ConflictError on a sibling
@@ -188,19 +182,21 @@ class Tx {
   std::uint64_t snapshot_;
   int depth_;
 
-  // merge_mutex_ guards set_/next_stamp_ when the transaction is suspended
-  // in run_children and its children read from or merge into it. While the
-  // transaction itself runs, nobody else touches its set, but children lock
-  // unconditionally for simplicity (uncontended fast path).
+  // merge_mutex_ guards set_/next_stamp_/retired_ when the transaction is
+  // suspended in run_children and its children read from or merge into it.
+  // While the transaction itself runs, nobody else touches its set, but
+  // children lock unconditionally for simplicity (uncontended fast path).
   std::mutex merge_mutex_;
   BoxSet set_ AUTOPN_GUARDED_BY(merge_mutex_);
   std::uint64_t next_stamp_ AUTOPN_GUARDED_BY(merge_mutex_) = 1;
+  /// Replaced pending bodies, newest first, chained through Body::next.
+  Body* retired_ AUTOPN_GUARDED_BY(merge_mutex_) = nullptr;
 
   /// Per-tree child-concurrency budget (limit c); only the root's is used.
   util::ForkBudget budget_;
 
   /// Set on roots created by Stm::read_only(); writes anywhere in the tree
-  /// then throw std::logic_error (checked in write_raw via the root).
+  /// then throw std::logic_error (checked in write_body via the root).
   bool read_only_ = false;
 
   /// Set on roots running the starvation-escalation path (holding the
@@ -212,13 +208,13 @@ class Tx {
 // ---- typed VBox accessors (need the full Tx definition) --------------------
 
 template <typename T>
-T VBox<T>::read(Tx& tx) const {
-  return *static_cast<const T*>(tx.read_raw(*this).get());
+const T& VBox<T>::read(Tx& tx) const {
+  return ValueBody<T>::of(tx.read_body(*this));
 }
 
 template <typename T>
 void VBox<T>::write(Tx& tx, T value) const {
-  tx.write_raw(*this, std::make_shared<const T>(std::move(value)));
+  tx.write_body(*this, ValueBody<T>::make(std::move(value)));
 }
 
 }  // namespace autopn::stm

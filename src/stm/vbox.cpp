@@ -4,14 +4,15 @@
 
 namespace autopn::stm {
 
-VBoxBase::~VBoxBase() {
-  Body* b = head_.load(std::memory_order_relaxed);
-  while (b != nullptr) {
-    Body* next = b->next.load(std::memory_order_relaxed);
-    delete b;
-    b = next;
+void destroy_chain(Body* body) noexcept {
+  while (body != nullptr) {
+    Body* next = body->next.load(std::memory_order_relaxed);
+    body->destroy(body);
+    body = next;
   }
 }
+
+VBoxBase::~VBoxBase() { destroy_chain(head_.load(std::memory_order_relaxed)); }
 
 const Body* VBoxBase::body_at(std::uint64_t snapshot) const noexcept {
   const Body* b = head_.load(std::memory_order_acquire);
@@ -38,19 +39,16 @@ void VBoxBase::prune(Body* from, std::uint64_t min_active_snapshot) noexcept {
     if (next == nullptr || keep->version.read() <= min_active_snapshot) break;
     keep = next;
   }
-  Body* doomed = keep->next.exchange(nullptr, std::memory_order_release);
-  while (doomed != nullptr) {
-    Body* next = doomed->next.load(std::memory_order_relaxed);
-    delete doomed;
-    doomed = next;
-  }
+  destroy_chain(keep->next.exchange(nullptr, std::memory_order_release));
   prune_busy_.store(false, std::memory_order_release);
 }
 
-void VBoxBase::install(std::shared_ptr<const void> value, std::uint64_t version,
+void VBoxBase::install(BodyPtr owned, std::uint64_t version,
                        std::uint64_t min_active_snapshot) {
-  Body* old_head = head_.load(std::memory_order_relaxed);
-  auto* body = new Body{version, std::move(value), old_head};
+  Body* body = owned.release();
+  body->version.write() = version;
+  body->next.store(head_.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
   head_.store(body, std::memory_order_release);
 
   // Prune bodies unreachable by any active snapshot: keep every body newer

@@ -9,11 +9,14 @@
 //  * readers traverse the chain lock-free (acquire-load of the head);
 //  * writers install new bodies only under the CommitManager's commit mutex,
 //    and opportunistically prune bodies no active snapshot can reach;
-//  * values are immutable once published (held via shared_ptr<const void>).
+//  * a value lives in its body (ValueBody<T>) and never changes once the body
+//    is built; an installed body belongs to its chain (before that, to one
+//    transaction: see tx.hpp).
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "util/sync.hpp"
 
@@ -23,17 +26,42 @@ namespace sync = autopn::sync;
 
 class Tx;
 
-/// One committed version of a box's value. `version` and `value` are written
-/// once, before the body is published into the chain; readers reach them only
-/// through the acquire edge of that publication — which is exactly what the
-/// sync::Shared wrapper lets the model checker verify.
+/// One version of a box's value, which the ValueBody<T> built on it holds.
+/// The value is written when the body is built and `version` when it is
+/// installed, both before the body is published into the chain; readers
+/// reach them only through the acquire edge of that publication — which is
+/// exactly what the sync::Shared wrapper lets the model checker verify.
 struct Body {
-  sync::Shared<std::uint64_t> version;
-  sync::Shared<std::shared_ptr<const void>> value;
+  sync::Shared<std::uint64_t> version{};
   /// Next-older body. Atomic because pruning truncates it (stores nullptr)
   /// while readers traverse; a reader never follows it past a body at or
-  /// below its snapshot, so truncated tails are unreachable to it.
-  sync::Atomic<Body*> next;
+  /// below its snapshot, so truncated tails are unreachable to it. Before
+  /// install, the body's owner may chain it into its retire list here.
+  sync::Atomic<Body*> next{nullptr};
+  /// Frees the body as the ValueBody<T> it was built as.
+  void (*destroy)(Body*) noexcept = nullptr;
+};
+
+struct BodyDeleter {
+  void operator()(Body* body) const noexcept { body->destroy(body); }
+};
+/// An unpublished body and its one owner.
+using BodyPtr = std::unique_ptr<Body, BodyDeleter>;
+/// Frees `body` and every body chained after it through `next`.
+void destroy_chain(Body* body) noexcept;
+
+template <typename T>
+struct ValueBody final : Body {
+  explicit ValueBody(T v) : Body{.destroy = &destroy_as}, value(std::move(v)) {}
+  static void destroy_as(Body* body) noexcept { delete static_cast<ValueBody*>(body); }
+  [[nodiscard]] static BodyPtr make(T v) {
+    return BodyPtr{new ValueBody{std::move(v)}};
+  }
+  [[nodiscard]] static const T& of(const Body* body) {
+    return static_cast<const ValueBody*>(body)->value.read();
+  }
+
+  sync::Shared<T> value;
 };
 
 /// Type-erased box base. All transactional machinery (read/write sets,
@@ -60,11 +88,12 @@ class VBoxBase {
     return b != nullptr ? b->version.read() : 0;
   }
 
-  /// Installs a new body. Caller must hold the commit mutex.
-  /// `min_active_snapshot` lets the box prune bodies that no active or future
-  /// transaction can observe (all bodies strictly older than the newest body
-  /// with version <= min_active_snapshot).
-  void install(std::shared_ptr<const void> value, std::uint64_t version,
+  /// Links `body` in as the newest version; the chain owns it from here.
+  /// Caller must hold the commit mutex. `min_active_snapshot` lets the box
+  /// prune bodies that no active or future transaction can observe (all
+  /// bodies strictly older than the newest body with version <=
+  /// min_active_snapshot).
+  void install(BodyPtr body, std::uint64_t version,
                std::uint64_t min_active_snapshot);
 
   /// Number of retained bodies (test/diagnostic helper; O(chain)). Requires
@@ -104,22 +133,19 @@ class VBox : public VBoxBase {
   VBox() = default;
   explicit VBox(T initial) { put_initial(std::move(initial)); }
 
-  /// Transactional read; records the access in tx's read set.
-  [[nodiscard]] T read(Tx& tx) const;
+  /// Transactional read; records the access in tx's read set. The reference
+  /// stays valid and unchanged until the transaction attempt ends.
+  [[nodiscard]] const T& read(Tx& tx) const;
 
   /// Transactional write; buffered in tx's write set until commit.
   void write(Tx& tx, T value) const;
 
   /// Newest committed value. Requires the box to have been initialized.
-  [[nodiscard]] T peek() const {
-    return *static_cast<const T*>(newest()->value.read().get());
-  }
+  [[nodiscard]] T peek() const { return ValueBody<T>::of(newest()); }
 
   /// Seeds the box with an initial version-0 value. Not thread-safe; call
   /// before transactions touch the box.
-  void put_initial(T value) {
-    install(std::make_shared<const T>(std::move(value)), 0, 0);
-  }
+  void put_initial(T value) { install(ValueBody<T>::make(std::move(value)), 0, 0); }
 };
 
 }  // namespace autopn::stm

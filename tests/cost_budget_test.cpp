@@ -1,0 +1,140 @@
+// Budgets for costs that do not move with the host: heap allocations per
+// STM operation and per request of a seeded TPC-C mix. They are counted by
+// the replacement operator new below, which lives in this binary only; the
+// libraries are never instrumented (bench/micro_costs reports the same
+// counts beside its timings). Each bound is the count the code has today: a
+// change that lowers a count lowers its bound here, and one that raises a
+// count fails this suite.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <vector>
+
+#include "stm/containers.hpp"
+#include "stm/stm.hpp"
+#include "util/rng.hpp"
+#include "workloads/tpcc.hpp"
+
+namespace {
+
+/// Heap allocations made by any thread of this process so far.
+std::atomic<std::uint64_t> allocations{0};
+
+}  // namespace
+
+// Neither replacement is inlined: gcc would otherwise see malloc() meet
+// operator delete, or operator new meet free(), and warn of a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
+
+namespace autopn::stm {
+namespace {
+
+/// Allocations per request of SeededTpccMixPerRequest's mix.
+constexpr double kTpccBudget = 32.479;
+
+StmConfig budget_config() {
+  StmConfig cfg;
+  cfg.pool_threads = 2;
+  cfg.initial_top = 4;
+  cfg.initial_children = 4;
+  return cfg;
+}
+
+/// Allocations per call of `op`, averaged over `reps` calls that follow one
+/// untimed call (which may make first-touch allocations of its own). The
+/// count is process-wide, so it includes pool workers running children.
+template <typename Op>
+double allocs_per_op(int reps, Op&& op) {
+  op();
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < reps; ++i) op();
+  return static_cast<double>(allocations.load(std::memory_order_relaxed) - before) /
+         reps;
+}
+
+TEST(CostBudget, ReadOnlyTransactionsAllocateNothing) {
+  for (const std::size_t reads : {16, 256}) {
+    Stm stm{budget_config()};
+    TArray<int> arr{reads, 1};
+    long sum = 0;
+    const double per_tx = allocs_per_op(200, [&] {
+      sum += stm.read_only<long>([&](Tx& tx) {
+        long total = 0;
+        for (std::size_t k = 0; k < reads; ++k) total += arr.read(tx, k);
+        return total;
+      });
+    });
+    EXPECT_EQ(per_tx, 0.0) << reads << " reads";
+    EXPECT_EQ(sum, 201L * static_cast<long>(reads));
+  }
+}
+
+TEST(CostBudget, RunTopWithOneRead) {
+  Stm stm{budget_config()};
+  VBox<int> box{42};
+  int seen = 0;
+  // The box set's entry array.
+  const double per_tx =
+      allocs_per_op(200, [&] { stm.run_top([&](Tx& tx) { seen = box.read(tx); }); });
+  EXPECT_LE(per_tx, 1.0);
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(CostBudget, OneWriteCommit) {
+  Stm stm{budget_config()};
+  VBox<int> box{0};
+  int i = 0;
+  // The written body and the box set's entry array.
+  const double per_tx =
+      allocs_per_op(200, [&] { stm.run_top([&](Tx& tx) { box.write(tx, ++i); }); });
+  EXPECT_LE(per_tx, 2.0);
+  EXPECT_EQ(box.peek(), 201);
+}
+
+TEST(CostBudget, SpawnAndMergeOfEightChildren) {
+  constexpr std::size_t kChildren = 8;
+  Stm stm{budget_config()};
+  TArray<int> arr{kChildren, 0};
+  // Per child its box set and its written body; for the root its box set
+  // (grown past the linear scan, with its index) and the bodies vector.
+  const double per_tx = allocs_per_op(200, [&] {
+    stm.run_top([&](Tx& tx) {
+      std::vector<std::function<void(Tx&)>> kids;
+      kids.reserve(kChildren);
+      for (std::size_t k = 0; k < kChildren; ++k) {
+        kids.emplace_back([&arr, k](Tx& child) { arr.write(child, k, 1); });
+      }
+      tx.run_children(std::move(kids));
+    });
+  });
+  EXPECT_LE(per_tx, 18.0);
+  for (std::size_t k = 0; k < kChildren; ++k) EXPECT_EQ(arr.peek(k), 1);
+}
+
+TEST(CostBudget, SeededTpccMixPerRequest) {
+  // The servable TPC-C configuration (2 warehouses) on one thread, past a
+  // warm-up, from a fixed seed: the count repeats exactly run to run.
+  Stm stm{budget_config()};
+  workloads::TpccConfig cfg;
+  cfg.warehouses = 2;
+  workloads::TpccBenchmark tpcc{stm, cfg};
+  util::Rng rng{cfg.seed};
+  tpcc.run_many(2'000, rng);
+  const double per_request = allocs_per_op(2'000, [&] { tpcc.run_one(rng); });
+  EXPECT_LE(per_request, kTpccBudget) << "measured " << per_request;
+}
+
+}  // namespace
+}  // namespace autopn::stm

@@ -72,26 +72,29 @@ struct World {
 };
 
 int value_at(const stm::VBoxBase& box, std::uint64_t snapshot) {
-  return *static_cast<const int*>(box.body_at(snapshot)->value.read().get());
+  return stm::ValueBody<int>::of(box.body_at(snapshot));
 }
 
-stm::CommitRequest increment_request(std::uint64_t snapshot,
-                                     stm::VBoxBase& box) {
-  stm::CommitRequest req;
-  req.snapshot = snapshot;
-  req.read_boxes.push_back(&box);
-  req.writes.emplace_back(&box,
-                          std::make_shared<const int>(value_at(box, snapshot) + 1));
-  return req;
+/// The entry of a committer that read `box` at `snapshot` and writes it
+/// incremented: one entry both read and written, as in a Tx's box set.
+stm::TxEntry increment_entry(std::uint64_t snapshot, stm::VBoxBase& box) {
+  return stm::TxEntry{.box = &box,
+                      .pending = stm::ValueBody<int>::make(value_at(box, snapshot) + 1),
+                      .seen = box.body_at(snapshot)};
+}
+
+/// A blind write of `value` to `box`.
+stm::TxEntry write_entry(stm::VBoxBase& box, int value) {
+  return stm::TxEntry{.box = &box, .pending = stm::ValueBody<int>::make(value)};
 }
 
 void escalated_increment(const std::shared_ptr<World>& w) {
   const auto held = w->manager.lock_exclusive();
   const auto handle = w->registry.acquire();
   const std::uint64_t snapshot = handle.snapshot();
-  auto req = increment_request(snapshot, w->box_a);
+  stm::TxEntry entry = increment_entry(snapshot, w->box_a);
   try {
-    w->manager.commit(req, held);
+    w->manager.commit(snapshot, {&entry, 1}, held);
   } catch (const stm::ConflictError&) {
     MC_ASSERT(false, "an escalated commit never fails validation");
   }
@@ -103,10 +106,10 @@ void escalated_increment(const std::shared_ptr<World>& w) {
 /// The mutant: snapshot and read first, commit mutex only at commit time.
 void weakened_escalated_increment(const std::shared_ptr<World>& w) {
   const auto handle = w->registry.acquire();
-  auto req = increment_request(handle.snapshot(), w->box_a);
+  stm::TxEntry entry = increment_entry(handle.snapshot(), w->box_a);
   const auto held = w->manager.lock_exclusive();
   try {
-    w->manager.commit(req, held);
+    w->manager.commit(handle.snapshot(), {&entry, 1}, held);
   } catch (const stm::ConflictError&) {
     MC_ASSERT(false, "an escalated commit never fails validation");
   }
@@ -116,11 +119,11 @@ void weakened_escalated_increment(const std::shared_ptr<World>& w) {
 void normal_increment(const std::shared_ptr<World>& w) {
   for (;;) {
     const auto handle = w->registry.acquire();
-    auto req = increment_request(handle.snapshot(), w->box_a);
     // A blind write beside the increment: one commit installs two boxes.
-    req.writes.emplace_back(&w->box_b, std::make_shared<const int>(2));
+    stm::TxEntry entries[] = {increment_entry(handle.snapshot(), w->box_a),
+                              write_entry(w->box_b, 2)};
     try {
-      w->manager.commit(req);
+      w->manager.commit(handle.snapshot(), entries);
       return;
     } catch (const stm::ConflictError&) {
       // The escalated commit landed after our snapshot: read again.
@@ -135,8 +138,8 @@ void read_at_snapshot(const std::shared_ptr<World>& w) {
   const stm::Body* b = w->box_b.body_at(w->snapshot);
   w->seen_version_a = a->version.read();
   w->seen_version_b = b->version.read();
-  w->seen_a = *static_cast<const int*>(a->value.read().get());
-  w->seen_b = *static_cast<const int*>(b->value.read().get());
+  w->seen_a = stm::ValueBody<int>::of(a);
+  w->seen_b = stm::ValueBody<int>::of(b);
 }
 
 void body() {

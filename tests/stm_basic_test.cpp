@@ -31,12 +31,12 @@ TEST(VBoxTest, InitialValueVisible) {
 
 TEST(VBoxTest, BodyAtSelectsVersion) {
   VBox<int> box{1};
-  box.install(std::make_shared<const int>(2), 5, 0);
-  box.install(std::make_shared<const int>(3), 9, 0);
-  EXPECT_EQ(*static_cast<const int*>(box.body_at(0)->value.read().get()), 1);
-  EXPECT_EQ(*static_cast<const int*>(box.body_at(5)->value.read().get()), 2);
-  EXPECT_EQ(*static_cast<const int*>(box.body_at(7)->value.read().get()), 2);
-  EXPECT_EQ(*static_cast<const int*>(box.body_at(100)->value.read().get()), 3);
+  box.install(ValueBody<int>::make(2), 5, 0);
+  box.install(ValueBody<int>::make(3), 9, 0);
+  EXPECT_EQ(ValueBody<int>::of(box.body_at(0)), 1);
+  EXPECT_EQ(ValueBody<int>::of(box.body_at(5)), 2);
+  EXPECT_EQ(ValueBody<int>::of(box.body_at(7)), 2);
+  EXPECT_EQ(ValueBody<int>::of(box.body_at(100)), 3);
   EXPECT_EQ(box.newest_version(), 9u);
 }
 
@@ -44,20 +44,20 @@ TEST(VBoxTest, PruneKeepsReachableBodies) {
   VBox<int> box{0};
   // min_active_snapshot = 4: versions 1..4 are only reachable via the newest
   // body <= 4.
-  box.install(std::make_shared<const int>(1), 1, 0);
-  box.install(std::make_shared<const int>(2), 2, 0);
-  box.install(std::make_shared<const int>(3), 3, 0);
+  box.install(ValueBody<int>::make(1), 1, 0);
+  box.install(ValueBody<int>::make(2), 2, 0);
+  box.install(ValueBody<int>::make(3), 3, 0);
   EXPECT_EQ(box.chain_length(), 4u);
-  box.install(std::make_shared<const int>(4), 4, 3);
+  box.install(ValueBody<int>::make(4), 4, 3);
   // Bodies with version < 3 are gone except the newest <= 3.
   EXPECT_EQ(box.chain_length(), 2u);
-  EXPECT_EQ(*static_cast<const int*>(box.body_at(3)->value.read().get()), 3);
+  EXPECT_EQ(ValueBody<int>::of(box.body_at(3)), 3);
 }
 
 TEST(VBoxTest, PruneAllWhenNoReaders) {
   VBox<int> box{0};
   for (int i = 1; i <= 10; ++i) {
-    box.install(std::make_shared<const int>(i), static_cast<std::uint64_t>(i),
+    box.install(ValueBody<int>::make(i), static_cast<std::uint64_t>(i),
                 static_cast<std::uint64_t>(i));
   }
   EXPECT_EQ(box.chain_length(), 1u);
@@ -487,6 +487,49 @@ TEST(StmBasic, ConflictOnTheLastReadBoxOfALargeSetIsDetected) {
   const auto hotspots = stm.contention_hotspots();
   ASSERT_FALSE(hotspots.empty());
   EXPECT_EQ(hotspots[0].label, "arr[" + std::to_string(kManyBoxes - 1) + "]");
+}
+
+TEST(StmBasic, RewrittenBoxKeepsEarlierReferencesAndFreesEveryBody) {
+  // Each attempt writes a box twice and reads it in between: the reference
+  // into the first write's body must outlive its replacement, and a read
+  // after the second write sees the second value. The first attempt aborts
+  // by explicit retry, the second fails validation, and the third commits,
+  // so the ASan build's leak check covers the bodies of either abort.
+  Stm stm{small_config()};
+  const std::string first_value(32, 'a');
+  const std::string second_value(32, 'b');
+  VBox<std::string> box{std::string(32, 'i')};
+  VBox<int> other{0};
+  std::latch parked{1};
+  std::latch overwritten{1};
+  std::jthread writer([&] {
+    parked.wait();
+    stm.run_top([&](Tx& tx) { other.write(tx, 1); });
+    overwritten.count_down();
+  });
+  int attempts = 0;
+  std::string seen;
+  stm.run_top([&](Tx& tx) {
+    ++attempts;
+    const int o = other.read(tx);
+    box.write(tx, first_value);
+    const std::string& first = box.read(tx);
+    box.write(tx, second_value);
+    seen = box.read(tx);
+    EXPECT_EQ(first, first_value);
+    if (attempts == 1) tx.retry();
+    if (attempts == 2) {
+      parked.count_down();
+      overwritten.wait();
+    }
+    EXPECT_EQ(o, attempts == 3 ? 1 : 0);
+  });
+  EXPECT_EQ(attempts, 3);
+  EXPECT_EQ(seen, second_value);
+  EXPECT_EQ(box.peek(), second_value);
+  const auto stats = stm.stats();
+  EXPECT_EQ(stats.aborts_explicit, 1u);
+  EXPECT_EQ(stats.aborts_validation, 1u);
 }
 
 TEST(StmBasic, WriteSetSizeTracksDistinctBoxes) {

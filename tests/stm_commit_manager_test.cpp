@@ -24,12 +24,18 @@ class CommitManagerTest : public ::testing::Test {
  protected:
   CommitManagerTest() : registry_(clock_), manager_(clock_, registry_, profiler_) {}
 
-  static CommitRequest write_request(std::uint64_t snapshot, VBoxBase& box,
-                                     int value) {
-    CommitRequest req;
-    req.snapshot = snapshot;
-    req.writes.emplace_back(&box, std::make_shared<const int>(value));
-    return req;
+  /// An entry writing `value` to `box`; it owns its body until installed.
+  static TxEntry write_of(VBoxBase& box, int value) {
+    return TxEntry{.box = &box, .pending = ValueBody<int>::make(value)};
+  }
+  static TxEntry read_of(VBoxBase& box) {
+    return TxEntry{.box = &box, .seen = box.newest()};
+  }
+
+  /// Commits one write of `value` to `box` from `snapshot`.
+  void commit_write(std::uint64_t snapshot, VBoxBase& box, int value) {
+    TxEntry entry = write_of(box, value);
+    manager_.commit(snapshot, {&entry, 1});
   }
 
   std::atomic<std::uint64_t> clock_{0};
@@ -41,8 +47,9 @@ class CommitManagerTest : public ::testing::Test {
 TEST_F(CommitManagerTest, CommitInstallsAtNextVersionAndPublishesClock) {
   VBox<int> box;
   for (int i = 1; i <= 5; ++i) {
-    auto req = write_request(clock_.load(), box, i);
-    manager_.commit(req);
+    TxEntry entry = write_of(box, i);
+    manager_.commit(clock_.load(), {&entry, 1});
+    EXPECT_EQ(entry.pending, nullptr);  // the chain owns the installed body
     EXPECT_EQ(clock_.load(), static_cast<std::uint64_t>(i));
     EXPECT_EQ(box.newest_version(), static_cast<std::uint64_t>(i));
     EXPECT_EQ(box.peek(), i);
@@ -57,18 +64,18 @@ TEST_F(CommitManagerTest, StaleReadThrowsAndReportsHotspot) {
 
   const std::uint64_t snapshot = clock_.load();
   // Another transaction commits to read_box, making our snapshot stale.
-  auto other = write_request(snapshot, read_box, 7);
-  manager_.commit(other);
+  commit_write(snapshot, read_box, 7);
 
-  CommitRequest req = write_request(snapshot, write_box, 9);
-  req.read_boxes.push_back(&read_box);
+  TxEntry entries[] = {write_of(write_box, 9), read_of(read_box)};
   try {
-    manager_.commit(req);
+    manager_.commit(snapshot, entries);
     FAIL() << "expected ConflictError";
   } catch (const ConflictError& conflict) {
     EXPECT_EQ(conflict.kind(), ConflictKind::kTopLevelValidation);
   }
-  // The failed commit installed nothing and did not advance the clock.
+  // The failed commit installed nothing and did not advance the clock; the
+  // write's body is still its entry's.
+  EXPECT_NE(entries[0].pending, nullptr);
   EXPECT_EQ(write_box.peek(), 0);
   EXPECT_EQ(clock_.load(), 1u);
 
@@ -80,13 +87,11 @@ TEST_F(CommitManagerTest, StaleReadThrowsAndReportsHotspot) {
 
 TEST_F(CommitManagerTest, ReadsAtCurrentSnapshotPassValidation) {
   VBox<int> box{5};
-  auto setup = write_request(clock_.load(), box, 6);
-  manager_.commit(setup);
+  commit_write(clock_.load(), box, 6);
 
   VBox<int> target{0};
-  CommitRequest req = write_request(clock_.load(), target, 1);
-  req.read_boxes.push_back(&box);
-  EXPECT_NO_THROW(manager_.commit(req));
+  TxEntry entries[] = {write_of(target, 1), read_of(box)};
+  EXPECT_NO_THROW(manager_.commit(clock_.load(), entries));
   EXPECT_EQ(clock_.load(), 2u);
 }
 
@@ -104,9 +109,8 @@ TEST_F(CommitManagerTest, ConcurrentDisjointCommitsClaimDenseVersions) {
       for (int i = 1; i <= kCommitsPerThread; ++i) {
         for (;;) {
           auto handle = registry_.acquire();
-          auto req = write_request(handle.snapshot(), *boxes[t], i);
           try {
-            manager_.commit(req);
+            commit_write(handle.snapshot(), *boxes[t], i);
             break;
           } catch (const ConflictError&) {
             // Disjoint writes with empty read sets never conflict.
@@ -129,27 +133,24 @@ TEST_F(CommitManagerTest, ConcurrentDisjointCommitsClaimDenseVersions) {
 TEST_F(CommitManagerTest, PruningRespectsRegistryMinimum) {
   VBox<int> box{0};
   // Hold a snapshot at version 1 while later versions are installed.
-  auto first = write_request(clock_.load(), box, 1);
-  manager_.commit(first);
+  commit_write(clock_.load(), box, 1);
   auto pinned = registry_.acquire();
   ASSERT_EQ(pinned.snapshot(), 1u);
 
   for (int i = 2; i <= 6; ++i) {
-    auto req = write_request(clock_.load(), box, i);
-    manager_.commit(req);
+    commit_write(clock_.load(), box, i);
   }
   // The pinned snapshot must still resolve: version 1's body survived.
   const Body* body = box.body_at(1);
   ASSERT_NE(body, nullptr);
-  EXPECT_EQ(*static_cast<const int*>(body->value.read().get()), 1);
+  EXPECT_EQ(ValueBody<int>::of(body), 1);
 
   // While the pin was held the chain had to retain every body back to
   // version 1.
   EXPECT_GE(box.chain_length(), 6u);
 
   pinned.release();
-  auto last = write_request(clock_.load(), box, 7);
-  manager_.commit(last);
+  commit_write(clock_.load(), box, 7);
   // With the pin gone the chain collapses: just the new body plus at most one
   // older body still reachable from min_active (== the pre-commit clock).
   EXPECT_LE(box.chain_length(), 2u);

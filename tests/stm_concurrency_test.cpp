@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -157,6 +159,10 @@ TEST(StmConcurrency, RaisingTopGateIncreasesAdmission) {
   stm.set_top_limit(4);
   std::atomic<int> inside{0};
   std::atomic<int> peak{0};
+  // The first two admitted bodies meet here: each waits until the other is
+  // inside the gate too, which a limit of 4 allows.
+  std::atomic<int> arrivals{0};
+  std::latch second_inside{2};
   std::vector<std::jthread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
@@ -166,7 +172,17 @@ TEST(StmConcurrency, RaisingTopGateIncreasesAdmission) {
           int expected = peak.load();
           while (now > expected && !peak.compare_exchange_weak(expected, now)) {
           }
-          std::this_thread::sleep_for(std::chrono::microseconds{200});
+          if (arrivals.fetch_add(1) < 2) {
+            second_inside.count_down();
+            // Bounded: a gate that admits one body at a time fails the
+            // assertion below instead of hanging.
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds{10};
+            while (!second_inside.try_wait() &&
+                   std::chrono::steady_clock::now() < deadline) {
+              std::this_thread::yield();
+            }
+          }
           inside.fetch_sub(1);
         });
       }

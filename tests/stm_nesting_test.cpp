@@ -6,6 +6,7 @@
 #include <chrono>
 #include <numeric>
 #include <semaphore>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -264,6 +265,59 @@ TEST(Nesting, ChildMergingPastTheIndexValidatesAgainstItsParent) {
   EXPECT_GE(stm.stats().aborts_sibling, 1u);
   const int expected = static_cast<int>(kBoxes) * (5 + 1);
   for (std::size_t i = 0; i < 2 * kBoxes; ++i) ASSERT_EQ(own.peek(i), expected);
+}
+
+TEST(Nesting, SiblingKeepsReadingTheParentBodyAMergeReplaced) {
+  // Sibling A reads the parent's pending write, then parks until sibling B
+  // has merged a new write of the same box over it. The parent's replaced
+  // body goes on the parent's retire list, not back to the allocator: A's
+  // reference and its cached re-read still show the parent's value. A then
+  // fails its merge on the stamp, and its retry reads B's value.
+  Stm stm{nest_config(/*pool=*/2, /*c=*/2)};
+  VBox<std::string> box{std::string{"global"}};
+  const std::string parents(32, 'p');
+  const std::string siblings(32, 's');
+  std::binary_semaphore a_read{0};
+  int a_attempts = 0;
+  bool overlapped = false;
+  std::string a_first;
+  std::string a_again;
+  std::string a_retry;
+  stm.run_top([&](Tx& tx) {
+    box.write(tx, parents);
+    tx.run_children({
+        [&](Tx& a) {
+          if (++a_attempts > 1) {
+            a_retry = box.read(a);
+            return;
+          }
+          const std::string& ref = box.read(a);
+          a_read.release();
+          // Bounded: without a second thread B cannot merge meanwhile, and
+          // the test fails below instead of hanging.
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds{10};
+          while (stm.stats().child_commits == 0 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          overlapped = stm.stats().child_commits == 1;
+          a_first = ref;
+          a_again = box.read(a);
+        },
+        [&](Tx& b) {
+          if (!a_read.try_acquire_for(std::chrono::seconds{10})) return;
+          box.write(b, siblings);
+        }});
+    EXPECT_EQ(box.read(tx), siblings);
+  });
+  ASSERT_TRUE(overlapped) << "sibling B never merged while A was parked";
+  EXPECT_EQ(a_first, parents);
+  EXPECT_EQ(a_again, parents);
+  EXPECT_EQ(a_attempts, 2);
+  EXPECT_EQ(a_retry, siblings);
+  EXPECT_GE(stm.stats().aborts_sibling, 1u);
+  EXPECT_EQ(box.peek(), siblings);
 }
 
 TEST(Nesting, EmptyChildBatchIsNoop) {
