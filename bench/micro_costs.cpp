@@ -3,13 +3,13 @@
 //  * STM primitives: transactional read/write, top-level commit, nested
 //    spawn/merge;
 //  * one TPC-C transaction after a long history, whose cost must not grow
-//    with how many transactions ran before it;
+//    with how many transactions ran before it, and one Vacation transaction;
 //  * M5 model-tree training and prediction at online training-set sizes;
 //  * bagging ensemble fit (k=10) and EI sweep over the full 198-point space;
 //  * KPI monitor per-commit cost.
 //
-// Every STM row and BM_TpccTxAfter also report `allocs/op`: heap
-// allocations per iteration, counted by the replacement operator new below.
+// Every STM row and the TPC-C and Vacation rows also report `allocs/op`:
+// heap allocations per iteration, counted by the replacement operator new below.
 // It lives in this binary only; the libraries are never instrumented.
 
 #include <benchmark/benchmark.h>
@@ -29,6 +29,7 @@
 #include "stm/stm.hpp"
 #include "util/rng.hpp"
 #include "workloads/tpcc.hpp"
+#include "workloads/vacation.hpp"
 
 using namespace autopn;
 
@@ -178,6 +179,25 @@ void BM_StmNestedSpawnMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_StmNestedSpawnMerge)->Arg(2)->Arg(8);
 
+void BM_StmNestedSpawnMergeIndexed(benchmark::State& state) {
+  // The same children through the indexed run_children, which borrows one
+  // body for all of them instead of taking a vector of std::function.
+  const auto children = static_cast<std::size_t>(state.range(0));
+  stm::Stm stm{bench_config()};
+  stm::TArray<int> arr{children, 0};
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    stm.run_top([&](stm::Tx& tx) {
+      tx.run_children(children, [&arr](stm::Tx& child, std::size_t k) {
+        arr.write(child, k, 1);
+      });
+    });
+  }
+  report_allocs(state, before);
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(children));
+}
+BENCHMARK(BM_StmNestedSpawnMergeIndexed)->Arg(2)->Arg(8);
+
 void BM_TpccTxAfter(benchmark::State& state) {
   // The servable TPC-C config (2 warehouses) on one thread: range(0)
   // transactions run untimed, then each iteration times one more.
@@ -197,6 +217,24 @@ BENCHMARK(BM_TpccTxAfter)
     ->Arg(20'000)
     ->Arg(1'000'000)
     ->Iterations(20'000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_VacationTxAfter(benchmark::State& state) {
+  // The default (write-heavy) Vacation mix on one thread: range(0)
+  // transactions run untimed, then each iteration times one more: 2,000 of
+  // each, as in the mix tests/cost_budget_test bounds.
+  stm::Stm stm{bench_config()};
+  workloads::VacationConfig cfg;
+  workloads::VacationBenchmark vacation{stm, cfg};
+  util::Rng rng{cfg.seed};
+  vacation.run_many(static_cast<std::size_t>(state.range(0)), rng);
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) vacation.run_one(rng);
+  report_allocs(state, before);
+}
+BENCHMARK(BM_VacationTxAfter)
+    ->Arg(2'000)
+    ->Iterations(2'000)
     ->Unit(benchmark::kMicrosecond);
 
 ml::Dataset make_training_set(std::size_t n) {

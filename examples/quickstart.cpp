@@ -55,20 +55,15 @@ int main() {
       const std::size_t chunk =
           (account_balances.size() + segments - 1) / segments;
       std::vector<long long> partial(segments, 0);
-      std::vector<std::function<void(stm::Tx&)>> children;
-      for (std::size_t s = 0; s < segments; ++s) {
-        children.emplace_back([&, s](stm::Tx& child) {
-          const std::size_t lo = s * chunk;
-          const std::size_t hi =
-              std::min(account_balances.size(), lo + chunk);
-          long long sum = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            sum += account_balances.read(child, i);
-          }
-          partial[s] = sum;
-        });
-      }
-      tx.run_children(std::move(children));
+      tx.run_children(segments, [&](stm::Tx& child, std::size_t s) {
+        const std::size_t lo = s * chunk;
+        const std::size_t hi = std::min(account_balances.size(), lo + chunk);
+        long long sum = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          sum += account_balances.read(child, i);
+        }
+        partial[s] = sum;
+      });
 
       long long grand_total = 0;
       for (long long p : partial) grand_total += p;

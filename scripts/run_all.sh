@@ -84,8 +84,12 @@ done
 # and joined through their stop tokens at shutdown. The shard-link test
 # joins as well: a flush posted before its link was destroyed must find the
 # link gone, not freed memory. Every STM test joins as well: a transaction's
-# read/write set is a flat vector with an index of positions into it, and a
-# read-only tree hands out chain bodies it never recorded.
+# read/write set is a flat vector with an index of positions into it, whose
+# storage passes, cleared, to the next transaction begun on the same thread
+# (a stale entry or index slot would read freed or foreign bodies); a
+# read-only tree hands out chain bodies it never recorded; and transaction
+# bodies are borrowed through util::FunctionRef, which must not outlive the
+# callable (util_function_ref_test joins for that).
 cmake --preset asan-ubsan
 cmake --build build-asan-ubsan --target \
   net_wire_test net_loop_test net_server_test net_chaos_test \
@@ -95,7 +99,8 @@ cmake --build build-asan-ubsan --target \
   stm_property_test stm_commit_strategy_test stm_snapshot_registry_test \
   stm_commit_manager_test stm_stats_test \
   stm_conflict_unit_test stm_linearizability_test chaos_stm_test \
-  workloads_test model_queue_test model_compose_test model_vs_des_test \
+  util_function_ref_test workloads_test \
+  model_queue_test model_compose_test model_vs_des_test \
   serve_engine_test chaos_serve_test
 for t in build-asan-ubsan/tests/net_*_test \
          build-asan-ubsan/tests/serve_engine_test \
@@ -105,6 +110,7 @@ for t in build-asan-ubsan/tests/net_*_test \
          build-asan-ubsan/tests/router_membership_test \
          build-asan-ubsan/tests/stm_*_test \
          build-asan-ubsan/tests/chaos_stm_test \
+         build-asan-ubsan/tests/util_function_ref_test \
          build-asan-ubsan/tests/workloads_test \
          build-asan-ubsan/tests/model_*_test; do
   echo "== asan-ubsan: $(basename "$t") =="

@@ -54,7 +54,8 @@ struct StmStatsSnapshot {
 };
 
 /// Sharded runtime counters. Every bump is one relaxed fetch_add on a
-/// thread-private cache line; snapshot() aggregates across shards.
+/// thread-private cache line; snapshot() aggregates across shards. Reads and
+/// writes are bumped once per transaction (Tx::~Tx), not once per access.
 class StmStats {
  public:
   explicit StmStats(
@@ -63,8 +64,8 @@ class StmStats {
   StmStats(const StmStats&) = delete;
   StmStats& operator=(const StmStats&) = delete;
 
-  void bump_read() noexcept { reads_.add(); }
-  void bump_write() noexcept { writes_.add(); }
+  void bump_read(std::uint64_t n = 1) noexcept { reads_.add(n); }
+  void bump_write(std::uint64_t n = 1) noexcept { writes_.add(n); }
   void bump_top_commit() noexcept { top_commits_.add(); }
   void bump_top_abort(ConflictKind kind) noexcept {
     top_aborts_.add();

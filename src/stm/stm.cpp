@@ -54,7 +54,7 @@ Stm::Stm(StmConfig config)
 
 Stm::~Stm() = default;
 
-void Stm::run_top(const std::function<void(Tx&)>& body) {
+void Stm::run_top(util::FunctionRef<void(Tx&)> body) {
   util::SemaphoreGuard top_permit{top_gate_};
   const unsigned budget = config_.retry_budget;
   // Engaged once the retry budget is exhausted: the commit mutex, held from
@@ -92,7 +92,7 @@ void Stm::run_top(const std::function<void(Tx&)>& body) {
   notify_commit();
 }
 
-void Stm::run_read_only_impl(const std::function<void(Tx&)>& body) {
+void Stm::run_read_only_impl(util::FunctionRef<void(Tx&)> body) {
   util::SemaphoreGuard top_permit{top_gate_};
   SnapshotRegistry::Handle snapshot = snapshots_.acquire();
   Tx root{*this, nullptr, snapshot.snapshot(),

@@ -33,6 +33,7 @@
 #include "stm/snapshot_registry.hpp"
 #include "stm/stats.hpp"
 #include "stm/tx.hpp"
+#include "util/function_ref.hpp"
 #include "util/semaphore.hpp"
 #include "util/thread_pool.hpp"
 
@@ -112,14 +113,14 @@ class Stm {
   /// while the configured number of concurrent top-level transactions is
   /// reached. User exceptions abort the transaction and propagate; an
   /// expired ambient ScopedDeadline throws DeadlineExceeded between
-  /// attempts.
-  void run_top(const std::function<void(Tx&)>& body);
+  /// attempts. `body` is borrowed for the call, not copied.
+  void run_top(util::FunctionRef<void(Tx&)> body);
 
   /// Convenience wrapper returning a value computed inside the transaction.
   /// T needs no default constructor; the result of the committed attempt is
   /// moved out (earlier aborted attempts overwrite theirs).
   template <typename T>
-  [[nodiscard]] T run_top_returning(const std::function<T(Tx&)>& body) {
+  [[nodiscard]] T run_top_returning(util::FunctionRef<T(Tx&)> body) {
     std::optional<T> result;
     run_top([&](Tx& tx) { result.emplace(body(tx)); });
     return std::move(*result);
@@ -129,7 +130,7 @@ class Stm {
   /// can never conflict, so there is no retry loop and no commit validation.
   /// The body MUST NOT write (enforced: a write throws std::logic_error).
   template <typename T>
-  [[nodiscard]] T read_only(const std::function<T(Tx&)>& body) {
+  [[nodiscard]] T read_only(util::FunctionRef<T(Tx&)> body) {
     std::optional<T> result;
     run_read_only_impl([&](Tx& tx) { result.emplace(body(tx)); });
     return std::move(*result);
@@ -214,7 +215,7 @@ class Stm {
   void backoff(unsigned attempt);
 
   /// Non-template body of read_only().
-  void run_read_only_impl(const std::function<void(Tx&)>& body);
+  void run_read_only_impl(util::FunctionRef<void(Tx&)> body);
 
   /// Fires the commit callback if one is installed. The common no-callback
   /// case is a single acquire load of a plain bool; the callback pointer

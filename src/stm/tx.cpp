@@ -1,6 +1,7 @@
 #include "stm/tx.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 #include <utility>
@@ -10,6 +11,23 @@
 
 namespace autopn::stm {
 
+namespace {
+
+/// Box-set storage a thread keeps: how many sets, of at most how many entries.
+constexpr std::size_t kSpareSets = 4;
+constexpr std::size_t kSpareSetMaxEntries = 64;
+
+/// Cleared box-set storage that transactions which ended on this thread
+/// left for the next ones, in the first `count` slots.
+struct SpareSets {
+  std::array<std::vector<TxEntry>, kSpareSets> entries;
+  std::array<std::vector<std::uint32_t>, kSpareSets> index;
+  std::size_t count = 0;
+};
+thread_local SpareSets spare_sets;
+
+}  // namespace
+
 Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot, std::size_t child_limit)
     : stm_(&stm),
       parent_(parent),
@@ -18,9 +36,34 @@ Tx::Tx(Stm& stm, Tx* parent, std::uint64_t snapshot, std::size_t child_limit)
       depth_(parent != nullptr ? parent->depth_ + 1 : 0),
       budget_(child_limit) {}
 
-Tx::~Tx() { destroy_chain(retired_); }
+Tx::~Tx() {
+  destroy_chain(retired_);
+  if (reads_ != 0) stm_->counters().bump_read(reads_);
+  if (writes_ != 0) stm_->counters().bump_write(writes_);
+}
 
 // ---- BoxSet ----------------------------------------------------------------
+
+Tx::BoxSet::BoxSet() noexcept {
+  SpareSets& spares = spare_sets;
+  if (spares.count == 0) return;
+  --spares.count;
+  entries_.swap(spares.entries[spares.count]);
+  index_.swap(spares.index[spares.count]);
+}
+
+Tx::BoxSet::~BoxSet() {
+  entries_.clear();
+  index_.clear();
+  SpareSets& spares = spare_sets;
+  const std::size_t capacity = entries_.capacity();
+  if (capacity == 0 || capacity > kSpareSetMaxEntries || spares.count == kSpareSets) {
+    return;
+  }
+  entries_.swap(spares.entries[spares.count]);
+  index_.swap(spares.index[spares.count]);
+  ++spares.count;
+}
 
 std::size_t Tx::BoxSet::slot_of(const VBoxBase* box) const noexcept {
   // Fibonacci hashing: boxes that sit at a fixed stride in memory (a TLog
@@ -110,7 +153,7 @@ Tx::Entry Tx::resolve_above(VBoxBase* box) {
 
 const Body* Tx::read_body(const VBoxBase& cbox) {
   auto* box = const_cast<VBoxBase*>(&cbox);
-  stm_->counters().bump_read();
+  ++reads_;
 
   // A read-only tree writes nothing, so only the chain can hold the box.
   if (root_->read_only_) return read_at_snapshot(box);
@@ -127,7 +170,7 @@ void Tx::write_body(const VBoxBase& cbox, BodyPtr body) {
     throw std::logic_error{"write inside a read-only transaction"};
   }
   auto* box = const_cast<VBoxBase*>(&cbox);
-  stm_->counters().bump_write();
+  ++writes_;
   Entry& entry = set_.find_or_insert(box);
   if (entry.written()) {
     // This transaction may still hold a reference into the body it replaces.
@@ -205,21 +248,23 @@ void Tx::commit_into_parent() {
   }
 }
 
-void Tx::run_children(std::vector<std::function<void(Tx&)>> bodies) {
+void Tx::run_children(std::size_t count,
+                      util::FunctionRef<void(Tx&, std::size_t)> body) {
   // Help-first: this thread runs the children itself, in order, on the
   // tree's unit it already holds, while idle pool workers steal the rest
   // only as far as the tree's budget c leaves room (util/thread_pool.hpp).
-  stm_->pool().fork_join(root_->budget_, bodies.size(),
-                         [&](std::size_t i) { run_child(bodies[i]); });
+  stm_->pool().fork_join(root_->budget_, count,
+                         [&](std::size_t i) { run_child(body, i); });
 }
 
-void Tx::run_child(const std::function<void(Tx&)>& body) {
+void Tx::run_child(util::FunctionRef<void(Tx&, std::size_t)> body,
+                   std::size_t index) {
   unsigned attempt = 0;
   const unsigned budget = stm_->config().retry_budget;
   for (;;) {
     Tx child{*stm_, this, snapshot_};
     try {
-      body(child);
+      body(child, index);
       child.commit_into_parent();
       stm_->counters().bump_child_commit();
       return;

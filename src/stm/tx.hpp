@@ -48,6 +48,14 @@
 // a merge hands the child's bodies to the parent, and the top-level install
 // hands the root's to the chains. So VBox<T>::read's reference stays valid
 // and unchanged until the attempt ends.
+//
+// Bookkeeping stays with the thread: a Tx is built and destroyed on one
+// thread's stack. When it ends, its box set's storage, cleared, passes to the
+// next Tx begun on that thread (root, retry or child). A thread keeps up to
+// kSpareSets (tx.cpp), enough for its nesting depth, and frees storage for
+// more than kSpareSetMaxEntries entries, so a bulk load is not held on to.
+// Reads and writes are counted in the Tx and added to the Stm's statistics
+// once, when it ends, committed or aborted.
 
 #include <cstdint>
 #include <functional>
@@ -58,6 +66,7 @@
 #include "stm/commit_manager.hpp"
 #include "stm/exceptions.hpp"
 #include "stm/vbox.hpp"
+#include "util/function_ref.hpp"
 #include "util/thread_pool.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -73,13 +82,20 @@ class Tx {
   Tx(const Tx&) = delete;
   Tx& operator=(const Tx&) = delete;
 
-  /// Runs each body as a child transaction of this transaction and returns
-  /// once all have committed. The calling thread runs the children itself,
-  /// in order; idle workers of the Stm's nested-transaction pool steal the
-  /// rest in parallel, as far as the actuator's per-tree limit `c` (threads
-  /// running inside this tree at once, the caller's included) allows. A
-  /// child that hits a sibling conflict is retried alone.
-  void run_children(std::vector<std::function<void(Tx&)>> bodies);
+  /// Runs body(child, i) for i in [0, count), each in a child transaction
+  /// of this transaction, and returns once all have committed. The calling
+  /// thread runs the children itself, in order; idle workers of the Stm's
+  /// nested-transaction pool steal the rest in parallel, as far as the
+  /// actuator's per-tree limit `c` (threads running inside this tree at
+  /// once, the caller's included) allows. A child that hits a sibling
+  /// conflict is retried alone.
+  void run_children(std::size_t count,
+                    util::FunctionRef<void(Tx&, std::size_t)> body);
+
+  /// The same, one child per element of `bodies`.
+  void run_children(std::vector<std::function<void(Tx&)>> bodies) {
+    run_children(bodies.size(), [&](Tx& child, std::size_t i) { bodies[i](child); });
+  }
 
   /// Requests an abort-and-retry of this transaction attempt.
   [[noreturn]] void retry() { throw ConflictError{ConflictKind::kExplicitRetry}; }
@@ -102,7 +118,7 @@ class Tx {
   /// Entries a box set scans linearly before it builds its index.
   static constexpr std::size_t kLinearSetMax = 8;
 
-  /// Frees the bodies this transaction still owns.
+  /// Frees the bodies it still owns; adds its reads and writes to the stats.
   ~Tx();
 
  private:
@@ -116,9 +132,16 @@ class Tx {
   /// to kLinearSetMax entries a lookup scans them; past that it probes
   /// `index_`, a power-of-two table of entry positions + 1 (0 = empty slot)
   /// kept at most half full and rebuilt on growth. Neither allocates per
-  /// entry.
+  /// entry, and the storage is reused from set to set on one thread.
   class BoxSet {
    public:
+    /// Takes over the storage a set that ended on this thread left, if any.
+    BoxSet() noexcept;
+    /// Frees the entries' bodies and leaves the storage to the next set.
+    ~BoxSet();
+    BoxSet(const BoxSet&) = delete;
+    BoxSet& operator=(const BoxSet&) = delete;
+
     [[nodiscard]] Entry* find(const VBoxBase* box) noexcept;
     /// Appends `entry`, whose box must not be in the set yet. The returned
     /// reference is valid until the next insertion.
@@ -145,9 +168,11 @@ class Tx {
   /// `child_limit` sizes the tree's budget; only a root's is used.
   Tx(Stm& stm, Tx* parent, std::uint64_t snapshot, std::size_t child_limit = 1);
 
-  /// One child of run_children: runs `body` in a fresh child transaction
-  /// and merges it, retrying on sibling conflicts up to the retry budget.
-  void run_child(const std::function<void(Tx&)>& body);
+  /// Child `index` of run_children: runs body(child, index) in a fresh child
+  /// transaction and merges it, retrying on sibling conflicts up to the
+  /// retry budget.
+  void run_child(util::FunctionRef<void(Tx&, std::size_t)> body,
+                 std::size_t index);
 
   /// Untyped access behind VBox<T>: the body this transaction sees (recorded
   /// in its read set), and a buffered full overwrite of `box`.
@@ -181,6 +206,9 @@ class Tx {
   Tx* root_;
   std::uint64_t snapshot_;
   int depth_;
+  /// Reads and writes of this transaction, added to the Stm's stats by ~Tx.
+  std::uint64_t reads_ = 0;
+  std::uint64_t writes_ = 0;
 
   // merge_mutex_ guards set_/next_stamp_/retired_ when the transaction is
   // suspended in run_children and its children read from or merge into it.

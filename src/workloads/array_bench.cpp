@@ -1,7 +1,6 @@
 #include "workloads/array_bench.hpp"
 
 #include <atomic>
-#include <functional>
 #include <vector>
 
 namespace autopn::workloads {
@@ -23,28 +22,23 @@ void ArrayBenchmark::run_one(util::Rng& rng) {
 
     std::vector<long long> segment_sums(segments, 0);
     std::vector<long long> segment_updates(segments, 0);
-    std::vector<std::function<void(stm::Tx&)>> children;
-    children.reserve(segments);
-    for (std::size_t s = 0; s < segments; ++s) {
-      children.emplace_back([&, s](stm::Tx& child) {
-        util::Rng child_rng{tx_seed ^ (0x9e3779b97f4a7c15ULL * (s + 1))};
-        long long sum = 0;
-        long long updates = 0;
-        const std::size_t lo = s * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          const long long value = data_.read(child, i);
-          sum += value;
-          if (child_rng.bernoulli(config_.update_fraction)) {
-            data_.write(child, i, value + 1);
-            ++updates;
-          }
+    tx.run_children(segments, [&](stm::Tx& child, std::size_t s) {
+      util::Rng child_rng{tx_seed ^ (0x9e3779b97f4a7c15ULL * (s + 1))};
+      long long sum = 0;
+      long long updates = 0;
+      const std::size_t lo = s * chunk;
+      const std::size_t hi = std::min(n, lo + chunk);
+      for (std::size_t i = lo; i < hi; ++i) {
+        const long long value = data_.read(child, i);
+        sum += value;
+        if (child_rng.bernoulli(config_.update_fraction)) {
+          data_.write(child, i, value + 1);
+          ++updates;
         }
-        segment_sums[s] = sum;
-        segment_updates[s] = updates;
-      });
-    }
-    tx.run_children(std::move(children));
+      }
+      segment_sums[s] = sum;
+      segment_updates[s] = updates;
+    });
 
     long long total_updates = 0;
     for (std::size_t s = 0; s < segments; ++s) total_updates += segment_updates[s];

@@ -1,7 +1,6 @@
 #include "workloads/tpcc.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 
@@ -105,26 +104,21 @@ long long TpccBenchmark::new_order(int warehouse, int district, int customer,
     // Process order lines in parallel child transactions: each line updates
     // its stock row and computes its amount.
     std::vector<OrderLine> lines(line_count);
-    std::vector<std::function<void(stm::Tx&)>> children;
-    children.reserve(line_count);
-    for (std::size_t l = 0; l < line_count; ++l) {
-      children.emplace_back([&, l](stm::Tx& child) {
-        const LinePick& pick = picks[l];
-        const int skey = stock_key(pick.supply_warehouse, pick.item);
-        StockRow srow = stock_.get(child, skey).value();
-        if (srow.quantity >= pick.quantity + 10) {
-          srow.quantity -= pick.quantity;
-        } else {
-          srow.quantity = srow.quantity - pick.quantity + 91;  // TPC-C restock
-        }
-        srow.ytd += pick.quantity;
-        stock_.put(child, skey, srow);
-        lines[l] = OrderLine{pick.item, pick.supply_warehouse, pick.quantity,
-                             static_cast<long long>(pick.quantity) *
-                                 (1 + pick.item % 100)};
-      });
-    }
-    tx.run_children(std::move(children));
+    tx.run_children(line_count, [&](stm::Tx& child, std::size_t l) {
+      const LinePick& pick = picks[l];
+      const int skey = stock_key(pick.supply_warehouse, pick.item);
+      StockRow srow = stock_.get(child, skey).value();
+      if (srow.quantity >= pick.quantity + 10) {
+        srow.quantity -= pick.quantity;
+      } else {
+        srow.quantity = srow.quantity - pick.quantity + 91;  // TPC-C restock
+      }
+      srow.ytd += pick.quantity;
+      stock_.put(child, skey, srow);
+      lines[l] = OrderLine{pick.item, pick.supply_warehouse, pick.quantity,
+                           static_cast<long long>(pick.quantity) *
+                               (1 + pick.item % 100)};
+    });
 
     order_total = 0;
     for (const OrderLine& line : lines) order_total += line.amount;
@@ -180,37 +174,31 @@ int TpccBenchmark::delivery(int warehouse) {
   stm_->run_top([&](stm::Tx& tx) {
     const std::size_t districts = config_.districts_per_warehouse;
     std::vector<int> delivered(districts, 0);
-    std::vector<std::function<void(stm::Tx&)>> children;
-    children.reserve(districts);
-    for (std::size_t d = 0; d < districts; ++d) {
-      children.emplace_back([&, d](stm::Tx& child) {
-        const int dkey = district_key(warehouse, static_cast<int>(d));
-        DistrictRow drow = districts_.get(child, dkey).value();
-        if (drow.next_delivery_id >= drow.next_order_id) {
-          delivered[d] = 0;
-          return;  // nothing undelivered in this district
-        }
-        const int oid = drow.next_delivery_id;
-        const stm::TLog<OrderRow>& log = orders(warehouse, static_cast<int>(d));
-        OrderRow order = log.read(child, oid);
-        order.delivered = true;
-        long long total = 0;
-        for (const OrderLine& line : order.lines) total += line.amount;
-        const int ckey =
-            customer_key(warehouse, static_cast<int>(d), order.customer_id);
-        log.write(child, oid, std::move(order));
+    tx.run_children(districts, [&](stm::Tx& child, std::size_t d) {
+      const int dkey = district_key(warehouse, static_cast<int>(d));
+      DistrictRow drow = districts_.get(child, dkey).value();
+      if (drow.next_delivery_id >= drow.next_order_id) {
+        delivered[d] = 0;
+        return;  // nothing undelivered in this district
+      }
+      const int oid = drow.next_delivery_id;
+      const stm::TLog<OrderRow>& log = orders(warehouse, static_cast<int>(d));
+      OrderRow order = log.read(child, oid);
+      order.delivered = true;
+      long long total = 0;
+      for (const OrderLine& line : order.lines) total += line.amount;
+      const int ckey = customer_key(warehouse, static_cast<int>(d), order.customer_id);
+      log.write(child, oid, std::move(order));
 
-        CustomerRow crow = customers_.get(child, ckey).value();
-        crow.balance += total;
-        crow.delivery_count += 1;
-        customers_.put(child, ckey, crow);
+      CustomerRow crow = customers_.get(child, ckey).value();
+      crow.balance += total;
+      crow.delivery_count += 1;
+      customers_.put(child, ckey, crow);
 
-        drow.next_delivery_id += 1;
-        districts_.put(child, dkey, drow);
-        delivered[d] = 1;
-      });
-    }
-    tx.run_children(std::move(children));
+      drow.next_delivery_id += 1;
+      districts_.put(child, dkey, drow);
+      delivered[d] = 1;
+    });
     delivered_total = 0;
     for (int d : delivered) delivered_total += d;
   });

@@ -1,7 +1,5 @@
 #include "workloads/vacation.hpp"
 
-#include <functional>
-
 namespace autopn::workloads {
 
 namespace {
@@ -58,28 +56,23 @@ int VacationBenchmark::make_reservation(int customer_id, util::Rng& rng) {
     std::vector<int> success(items, 0);
 
     // Phase 1 (parallel children): reserve each item on its resource table.
-    std::vector<std::function<void(stm::Tx&)>> children;
-    children.reserve(items);
-    for (std::size_t i = 0; i < items; ++i) {
-      children.emplace_back([&, i](stm::Tx& child) {
-        util::Rng item_rng{tx_seed ^ (0xda942042e4dd58b5ULL * (i + 1))};
-        const auto kind = static_cast<ResourceKind>(item_rng.uniform_index(kKinds));
-        const int resource_id =
-            static_cast<int>(item_rng.uniform_index(config_.relations));
-        const auto& tbl = table(kind);
-        auto row = tbl.get(child, resource_id);
-        if (!row.has_value() || row->used >= row->capacity) {
-          success[i] = 0;
-          return;
-        }
-        Resource updated = *row;
-        updated.used += 1;
-        tbl.put(child, resource_id, updated);
-        picked[i] = ReservationItem{kind, resource_id, updated.price};
-        success[i] = 1;
-      });
-    }
-    tx.run_children(std::move(children));
+    tx.run_children(items, [&](stm::Tx& child, std::size_t i) {
+      util::Rng item_rng{tx_seed ^ (0xda942042e4dd58b5ULL * (i + 1))};
+      const auto kind = static_cast<ResourceKind>(item_rng.uniform_index(kKinds));
+      const int resource_id =
+          static_cast<int>(item_rng.uniform_index(config_.relations));
+      const auto& tbl = table(kind);
+      auto row = tbl.get(child, resource_id);
+      if (!row.has_value() || row->used >= row->capacity) {
+        success[i] = 0;
+        return;
+      }
+      Resource updated = *row;
+      updated.used += 1;
+      tbl.put(child, resource_id, updated);
+      picked[i] = ReservationItem{kind, resource_id, updated.price};
+      success[i] = 1;
+    });
 
     // Phase 2 (parent): attach the successfully reserved items to the
     // customer record.

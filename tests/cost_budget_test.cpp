@@ -18,6 +18,7 @@
 #include "stm/stm.hpp"
 #include "util/rng.hpp"
 #include "workloads/tpcc.hpp"
+#include "workloads/vacation.hpp"
 
 namespace {
 
@@ -41,8 +42,16 @@ std::atomic<std::uint64_t> allocations{0};
 namespace autopn::stm {
 namespace {
 
-/// Allocations per request of SeededTpccMixPerRequest's mix.
-constexpr double kTpccBudget = 32.479;
+/// Allocations per request of SeededTpccMixPerRequest's and
+/// SeededVacationMixPerRequest's mixes.
+constexpr double kTpccBudget = 19.2;
+constexpr double kVacationBudget = 20.2;
+
+/// A pool worker that steals its first child allocates that child's box-set
+/// storage once and keeps it. Whether either of budget_config's 2 workers
+/// steals during a measurement depends on the schedule, so the spawn rows
+/// allow those 2 one-time allocations over their 200 transactions.
+constexpr double kFirstSteals = 2.0 / 200;
 
 StmConfig budget_config() {
   StmConfig cfg;
@@ -85,21 +94,36 @@ TEST(CostBudget, RunTopWithOneRead) {
   Stm stm{budget_config()};
   VBox<int> box{42};
   int seen = 0;
-  // The box set's entry array.
+  // The box set reuses the storage the previous transaction left.
   const double per_tx =
       allocs_per_op(200, [&] { stm.run_top([&](Tx& tx) { seen = box.read(tx); }); });
-  EXPECT_LE(per_tx, 1.0);
+  EXPECT_EQ(per_tx, 0.0);
   EXPECT_EQ(seen, 42);
+}
+
+TEST(CostBudget, ReadWriteTransactionOfSixteenReads) {
+  // Past the linear scan: the reused storage keeps the index's table too.
+  constexpr std::size_t kReads = 16;
+  Stm stm{budget_config()};
+  TArray<int> arr{kReads, 1};
+  long sum = 0;
+  const double per_tx = allocs_per_op(200, [&] {
+    stm.run_top([&](Tx& tx) {
+      for (std::size_t k = 0; k < kReads; ++k) sum += arr.read(tx, k);
+    });
+  });
+  EXPECT_EQ(per_tx, 0.0);
+  EXPECT_EQ(sum, 201L * static_cast<long>(kReads));
 }
 
 TEST(CostBudget, OneWriteCommit) {
   Stm stm{budget_config()};
   VBox<int> box{0};
   int i = 0;
-  // The written body and the box set's entry array.
+  // The written body.
   const double per_tx =
       allocs_per_op(200, [&] { stm.run_top([&](Tx& tx) { box.write(tx, ++i); }); });
-  EXPECT_LE(per_tx, 2.0);
+  EXPECT_LE(per_tx, 1.0);
   EXPECT_EQ(box.peek(), 201);
 }
 
@@ -107,8 +131,7 @@ TEST(CostBudget, SpawnAndMergeOfEightChildren) {
   constexpr std::size_t kChildren = 8;
   Stm stm{budget_config()};
   TArray<int> arr{kChildren, 0};
-  // Per child its box set and its written body; for the root its box set
-  // (grown past the linear scan, with its index) and the bodies vector.
+  // Per child its written body, and the bodies vector.
   const double per_tx = allocs_per_op(200, [&] {
     stm.run_top([&](Tx& tx) {
       std::vector<std::function<void(Tx&)>> kids;
@@ -119,7 +142,22 @@ TEST(CostBudget, SpawnAndMergeOfEightChildren) {
       tx.run_children(std::move(kids));
     });
   });
-  EXPECT_LE(per_tx, 18.0);
+  EXPECT_LE(per_tx, 9.0 + kFirstSteals);
+  for (std::size_t k = 0; k < kChildren; ++k) EXPECT_EQ(arr.peek(k), 1);
+}
+
+TEST(CostBudget, IndexedSpawnAndMergeOfEightChildren) {
+  constexpr std::size_t kChildren = 8;
+  Stm stm{budget_config()};
+  TArray<int> arr{kChildren, 0};
+  // Per child its written body; the body itself is borrowed.
+  const double per_tx = allocs_per_op(200, [&] {
+    stm.run_top([&](Tx& tx) {
+      tx.run_children(kChildren,
+                      [&arr](Tx& child, std::size_t k) { arr.write(child, k, 1); });
+    });
+  });
+  EXPECT_LE(per_tx, 8.0 + kFirstSteals);
   for (std::size_t k = 0; k < kChildren; ++k) EXPECT_EQ(arr.peek(k), 1);
 }
 
@@ -134,6 +172,18 @@ TEST(CostBudget, SeededTpccMixPerRequest) {
   tpcc.run_many(2'000, rng);
   const double per_request = allocs_per_op(2'000, [&] { tpcc.run_one(rng); });
   EXPECT_LE(per_request, kTpccBudget) << "measured " << per_request;
+}
+
+TEST(CostBudget, SeededVacationMixPerRequest) {
+  // The default (write-heavy) Vacation mix on one thread, past a warm-up,
+  // from a fixed seed.
+  Stm stm{budget_config()};
+  workloads::VacationConfig cfg;
+  workloads::VacationBenchmark vacation{stm, cfg};
+  util::Rng rng{cfg.seed};
+  vacation.run_many(2'000, rng);
+  const double per_request = allocs_per_op(2'000, [&] { vacation.run_one(rng); });
+  EXPECT_LE(per_request, kVacationBudget) << "measured " << per_request;
 }
 
 }  // namespace

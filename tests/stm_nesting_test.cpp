@@ -2,10 +2,12 @@
 // sibling conflict detection and child-local retry, multi-level nesting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <numeric>
 #include <semaphore>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -392,6 +394,126 @@ TEST(Nesting, GrandchildSeesGrandparentTentativeWrite) {
     }});
     EXPECT_EQ(seen, 42);
   });
+}
+
+// ---- box-set storage reuse ----------------------------------------------------
+//
+// A transaction's set storage passes, cleared, to the next transaction begun
+// on its thread. Each test below fills a set past its index with uncommitted
+// writes, aborts it one way, and checks that the next set on that thread
+// starts empty and that its reads see only committed values. c = 1 keeps
+// every transaction of the tree on the test thread.
+
+constexpr std::size_t kFilled = 2 * Tx::kLinearSetMax + 4;
+
+/// Reads and overwrites every box of `arr` in `tx`.
+void fill_set(Tx& tx, const TArray<int>& arr) {
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    arr.write(tx, i, arr.read(tx, i) + 99);
+  }
+}
+
+/// `tx`'s set is empty and every box of `arr` reads its committed value.
+void expect_fresh(Tx& tx, const TArray<int>& arr) {
+  EXPECT_EQ(tx.read_set_size(), 0u);
+  EXPECT_EQ(tx.write_set_size(), 0u);
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    EXPECT_EQ(arr.read(tx, i), arr.peek(i));
+  }
+}
+
+TEST(Nesting, ReusedSetStartsEmptyAfterRetry) {
+  Stm stm{nest_config(/*pool=*/1, /*c=*/1)};
+  TArray<int> arr{kFilled, 1};
+  int attempts = 0;
+  stm.run_top([&](Tx& tx) {
+    expect_fresh(tx, arr);
+    if (++attempts == 1) {
+      fill_set(tx, arr);
+      tx.retry();
+    }
+  });
+  EXPECT_EQ(attempts, 2);
+  stm.run_top([&](Tx& tx) { expect_fresh(tx, arr); });
+  for (std::size_t i = 0; i < kFilled; ++i) EXPECT_EQ(arr.peek(i), 1);
+}
+
+TEST(Nesting, ReusedSetStartsEmptyAfterUserException) {
+  Stm stm{nest_config(/*pool=*/1, /*c=*/1)};
+  TArray<int> arr{kFilled, 1};
+  EXPECT_THROW(stm.run_top([&](Tx& tx) {
+    fill_set(tx, arr);
+    throw std::runtime_error{"user abort"};
+  }),
+               std::runtime_error);
+  stm.run_top([&](Tx& tx) { expect_fresh(tx, arr); });
+  for (std::size_t i = 0; i < kFilled; ++i) EXPECT_EQ(arr.peek(i), 1);
+}
+
+TEST(Nesting, ReusedSetStartsEmptyAfterChildConflict) {
+  Stm stm{nest_config(/*pool=*/1, /*c=*/1)};
+  TArray<int> arr{kFilled, 1};
+  int child_attempts = 0;
+  stm.run_top([&](Tx& tx) {
+    tx.run_children(1, [&](Tx& child, std::size_t) {
+      expect_fresh(child, arr);
+      if (++child_attempts == 1) {
+        fill_set(child, arr);
+        throw ConflictError{ConflictKind::kSiblingWrite};
+      }
+    });
+  });
+  EXPECT_EQ(child_attempts, 2);
+  stm.run_top([&](Tx& tx) { expect_fresh(tx, arr); });
+  for (std::size_t i = 0; i < kFilled; ++i) EXPECT_EQ(arr.peek(i), 1);
+}
+
+TEST(Nesting, DepthThreeTreeFreesEveryBody) {
+  // Meant for ASan and LeakSanitizer (scripts/run_all.sh): rewrites retire
+  // bodies at every level, merges hand them up, aborted attempts drop them
+  // with their sets, a committed tree installs them, and a user exception
+  // unwinds the whole tree. Every value is a 32-byte string on the heap, so
+  // a body freed twice or never shows.
+  Stm stm{nest_config(/*pool=*/2, /*c=*/2)};
+  TArray<std::string> arr{7, std::string{}};
+  const auto text = [](char c) { return std::string(32, c); };
+  std::array<std::atomic<int>, 2> leaf_attempts{};
+  const auto tree = [&](Tx& tx, bool fail) {
+    arr.write(tx, 0, text('r'));
+    arr.write(tx, 0, text('R'));
+    tx.run_children(2, [&](Tx& child, std::size_t i) {
+      arr.write(child, 1 + i, text('c'));
+      arr.write(child, 1 + i, text('C'));
+      child.run_children(1, [&](Tx& grandchild, std::size_t) {
+        arr.write(grandchild, 1 + i, text('g'));
+        arr.write(grandchild, 3 + i, text('g'));
+        grandchild.run_children(1, [&](Tx& leaf, std::size_t) {
+          EXPECT_EQ(leaf.depth(), 3);
+          EXPECT_EQ(arr.read(leaf, 0), text('R'));
+          arr.write(leaf, 5 + i, text('l'));
+          if (fail) throw std::runtime_error{"leaf failed"};
+          if (leaf_attempts[i].fetch_add(1) == 0) {
+            throw ConflictError{ConflictKind::kSiblingWrite};
+          }
+        });
+      });
+    });
+  };
+  int top_attempts = 0;
+  stm.run_top([&](Tx& tx) {
+    tree(tx, /*fail=*/false);
+    if (++top_attempts == 1) tx.retry();
+  });
+  EXPECT_EQ(top_attempts, 2);
+  EXPECT_THROW(stm.run_top([&](Tx& tx) { tree(tx, /*fail=*/true); }),
+               std::runtime_error);
+  EXPECT_EQ(arr.peek(0), text('R'));
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(arr.peek(1 + i), text('g'));
+    EXPECT_EQ(arr.peek(3 + i), text('g'));
+    EXPECT_EQ(arr.peek(5 + i), text('l'));
+    EXPECT_EQ(leaf_attempts[i].load(), 3);
+  }
 }
 
 }  // namespace

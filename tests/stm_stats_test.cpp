@@ -4,11 +4,15 @@
 // overflow accounting, reset).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "stm/containers.hpp"
 #include "stm/stats.hpp"
+#include "stm/stm.hpp"
 #include "stm/vbox.hpp"
 #include "util/sharded.hpp"
 
@@ -98,6 +102,60 @@ TEST(StmStats, ConcurrentBumpsSumExactly) {
   const StmStatsSnapshot snap = stats.snapshot();
   EXPECT_EQ(snap.reads, static_cast<std::uint64_t>(kThreads) * kOps);
   EXPECT_EQ(snap.top_commits, static_cast<std::uint64_t>(kThreads) * kOps);
+}
+
+TEST(StmStats, ReadsAndWritesExactAcrossRetriesAndStolenChildren) {
+  // Each transaction adds its reads and writes when it ends, aborted or not,
+  // on whichever thread ran it. Child 0 holds its first attempt until child
+  // 1 has started, so the two run on different threads, one of them a pool
+  // worker that stole its child; that attempt of child 0 then aborts, and so
+  // does the whole first top-level attempt.
+  StmConfig cfg;
+  cfg.pool_threads = 2;
+  cfg.initial_children = 2;
+  Stm stm{cfg};
+  TArray<int> arr{4, 0};
+  std::atomic<bool> second_started{false};
+  std::thread::id first_ran_on;
+  std::thread::id second_ran_on;
+  bool overlapped = false;
+  int first_attempts = 0;
+  int top_attempts = 0;
+  stm.run_top([&](Tx& tx) {
+    arr.write(tx, 3, arr.read(tx, 3) + 1);  // 1 read, 1 write
+    tx.run_children(2, [&](Tx& child, std::size_t i) {
+      if (i == 1) {
+        if (!second_started.load()) second_ran_on = std::this_thread::get_id();
+        second_started.store(true);
+        arr.write(child, 1, arr.read(child, 1) + 1);  // 1 read, 1 write
+        return;
+      }
+      arr.write(child, 0, arr.read(child, 0) + arr.read(child, 2) + 1);  // 2 r, 1 w
+      if (++first_attempts > 1) return;
+      first_ran_on = std::this_thread::get_id();
+      // Bounded: with no worker free to steal child 1 the test fails below
+      // instead of hanging.
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+      while (!second_started.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      overlapped = second_started.load();
+      throw ConflictError{ConflictKind::kInjected};
+    });
+    if (++top_attempts == 1) tx.retry();
+  });
+  ASSERT_TRUE(overlapped) << "child 1 never started while child 0 waited";
+  EXPECT_NE(first_ran_on, second_ran_on);
+  // Top attempt 1: root 1 r + 1 w, child 1 1 r + 1 w, child 0 twice 2 r + 1 w.
+  // Top attempt 2: root 1 r + 1 w, child 1 1 r + 1 w, child 0 2 r + 1 w.
+  const StmStatsSnapshot stats = stm.stats();
+  EXPECT_EQ(stats.reads, 10u);
+  EXPECT_EQ(stats.writes, 7u);
+  EXPECT_EQ(stats.top_aborts, 1u);
+  EXPECT_EQ(stats.child_aborts, 1u);
+  EXPECT_EQ(stats.top_commits, 1u);
+  EXPECT_EQ(arr.peek(0), 1);
+  EXPECT_EQ(arr.peek(3), 1);
 }
 
 TEST(ContentionProfiler, DisabledNoteIsNoOp) {
