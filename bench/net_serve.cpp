@@ -114,9 +114,7 @@ int run_loopback(const Params& p, util::TextTable& table) {
                   result.latency});
 
   const auto wire = server.report();
-  const bool exact =
-      wire.requests_decoded == wire.responses_enqueued &&
-      wire.responses_enqueued == wire.responses_written + wire.responses_dropped;
+  const bool exact = wire.ledger_exact();
   std::cout << "wire: " << wire.requests_decoded << " decoded, "
             << wire.responses_written << " written, " << wire.responses_dropped
             << " dropped, ledger " << (exact ? "exact" : "VIOLATED") << "\n";

@@ -97,6 +97,12 @@ struct NetServerReport {
   /// is completion→last byte flushed (loop queueing + socket writes).
   serve::LatencyRecorder::Summary accept;
   serve::LatencyRecorder::Summary reply;
+
+  /// The response ledger above; holds after shutdown().
+  [[nodiscard]] bool ledger_exact() const noexcept {
+    return requests_decoded == responses_enqueued &&
+           responses_enqueued == responses_written + responses_dropped;
+  }
 };
 
 class NetServer {

@@ -126,6 +126,13 @@ struct RouterReport {
   std::uint64_t retires = 0;    ///< administrative removals accepted
   std::uint64_t evictions = 0;  ///< health-driven ring removals
   std::uint64_t readmits = 0;   ///< ring joins earned through probation
+
+  /// The forwarding ledger of the file comment, and no completion for an
+  /// unknown token; holds after shutdown().
+  [[nodiscard]] bool ledger_exact() const noexcept {
+    return dispatched == forwarded + shed_local && forwarded == returned &&
+           late_responses == 0;
+  }
 };
 
 class Router final : public net::RequestDispatcher {

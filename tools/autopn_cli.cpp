@@ -1,31 +1,31 @@
-// autopn — command-line interface to the library's studies.
-//
-//   autopn workloads                      list the 10 paper workloads & optima
-//   autopn surface <workload>             print a throughput surface
-//   autopn tune <workload> [opts]         run one tuner trace-driven, log steps
-//   autopn compare <workload> [--seed N]  all tuners on one workload
-//   autopn record <workload> <file>       record an offline trace to a file
-//   autopn info <file>                    summarize a recorded trace
-//   autopn serve [--workload W] [opts]    live serving engine + AutoPN tuning
-//
-// tune options: --optimizer autopn|smbo|random|grid|hc|sa|ga  --seed N
-//               --cores N (default 48)
-// serve options: --workload array|array-high|vacation|tpcc  --rate R
-//                --duration S  --workers N  --shift F  --cores N  --seed N
+// autopn — command-line interface to the library's studies. Each
+// subcommand, with its arguments, its flags and their defaults, its handler
+// and its one-line summary, is a row of kCommands at the end of this file;
+// `autopn` with no arguments prints that table.
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "model/advisor.hpp"
 #include "model/compose.hpp"
 #include "net/netload.hpp"
 #include "net/server.hpp"
+#include "net/wire.hpp"
 #include "router/router.hpp"
 #include "opt/autopn_optimizer.hpp"
 #include "opt/baselines.hpp"
@@ -45,59 +45,39 @@ using namespace autopn;
 
 namespace {
 
-int usage() {
-  std::cerr << "usage: autopn <workloads|surface|model|tune|compare|des-tune|record|info|serve> ...\n"
-               "  autopn workloads\n"
-               "  autopn surface <workload> [--cores N]\n"
-               "  autopn model <workload> [--rate R] [--workers N] [--cores N]\n"
-               "               [--shift F] [--shed-target F]   (capacity what-ifs)\n"
-               "  autopn tune <workload> [--optimizer NAME] [--seed N] [--cores N]\n"
-               "  autopn compare <workload> [--seed N] [--cores N]\n"
-               "  autopn des-tune <workload> [--optimizer NAME] [--seed N]\n"
-               "  autopn record <workload> <file> [--cores N]\n"
-               "  autopn info <file>\n"
-               "  autopn serve [--workload W] [--rate R] [--duration S] [--workers N]\n"
-               "               [--shift F] [--optimizer NAME] [--cores N] [--seed N]\n"
-               "               [--request-timeout S] [--model-warm] [--model-veto BAND]\n"
-               "  autopn serve --listen ADDR:PORT [--port-file F] [--duration S]\n"
-               "               [--workload W] [--workers N] ...   (0.0.0.0:0 = any port)\n"
-               "  autopn netload [--host H] [--port P | --port-file F] [--connections N]\n"
-               "               [--rate R | --closed-loop [--think S]] [--duration S]\n"
-               "               [--tenants N] [--payload BYTES] [--deadline-us U] [--seed N]\n"
-               "  autopn router --listen ADDR:PORT (--shard HOST:PORT | --shard-port-file F)...\n"
-               "               [--port-file F] [--duration S] [--slo-ms MS]\n"
-               "               [--rebalance-interval S] [--no-rebalance]\n"
-               "               [--redial-budget N] [--scale-file F]\n"
-               "  autopn router-ctl add (--port P | --port-file F) --shard-id N\n"
-               "               (--shard HOST:PORT | --shard-port-file F)   [--host H]\n"
-               "  autopn router-ctl remove (--port P | --port-file F) --shard-id N\n"
-               "  autopn router-ctl status (--port P | --port-file F)\n"
-               "global: --failpoints 'name=kind(args)[;...]'  e.g.\n"
-               "        --failpoints 'stm.commit.validate=error(p=0.1);stm.vbox.prune=delay(d=1ms)'\n"
-               "        (also read from the AUTOPN_FAILPOINTS environment variable;\n"
-               "        no-op unless the build compiles failpoints in)\n";
-  return 2;
-}
-
-/// A malformed command-line value: main() prints it and exits 2.
+/// A malformed command line: main() prints it and exits 2.
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A TCP port from text; anything but a whole number in 0..65535 is a
-/// UsageError naming `what` (a bare stoul cast would wrap 70000 to 4464).
+/// Sanity ceiling on --cores, --workers and --connections: each starts (or
+/// sizes a search space that starts) about one thread per unit.
+constexpr int kMaxThreads = 1024;
+
+/// Step cap of the trace-driven tuning runs; no optimizer gets near it.
+constexpr std::size_t kMaxSteps = 400;
+
+/// `text` as a T in lo..hi, else a UsageError naming `flag`. The whole text
+/// must parse: no "12abc", no "-1" read as 2^64-1, no nan or inf.
+template <typename T>
+T parse_number(const std::string& text, const std::string& flag, T lo, T hi,
+               const char* noun = "a number") {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  bool ok = error == std::errc{} && stop == end && lo <= value && value <= hi;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::ostringstream message;
+    message << flag << " wants " << noun << " in " << lo << ".." << hi
+            << " (got '" << text << "')";
+    throw UsageError{message.str()};
+  }
+  return value;
+}
+
 std::uint16_t parse_port(const std::string& text, const std::string& what) {
-  std::size_t used = 0;
-  unsigned long value = 0;
-  try {
-    value = std::stoul(text, &used);
-  } catch (const std::logic_error&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size() || value > 65535) {
-    throw UsageError{what + " wants a port in 0..65535 (got '" + text + "')"};
-  }
-  return static_cast<std::uint16_t>(value);
+  return parse_number<std::uint16_t>(text, what, 0, 65535, "a port");
 }
 
 struct HostPort {
@@ -126,148 +106,156 @@ std::uint16_t read_port_file(const std::string& path) {
   return parse_port(text, "port file " + path);
 }
 
+/// The parsed command line. A subcommand's row in kCommands sets the
+/// defaults of the flags it takes, and its handler reads only those.
 struct Options {
-  std::string optimizer = "autopn";
-  std::uint64_t seed = 1;
-  int cores = 48;
-  bool cores_given = false;
-  // serve-only knobs
-  std::string workload = "tpcc";
-  double rate = 600.0;      ///< open-loop arrivals/s before the shift
-  double duration = 4.0;    ///< total serving time; the rate shifts halfway
-  double shift = 4.0;       ///< rate multiplier for the second phase
-  std::size_t workers = 4;  ///< engine worker threads
-  double request_timeout = 0.0;  ///< per-request deadline, seconds (0 = none)
-  // model knobs (model subcommand / serve warm-start+veto)
-  bool model_warm = false;   ///< serve: warm-start the tuner from the model
-  double model_veto = 0.0;   ///< serve: veto band (0 = off); vetoes block
-  double shed_target = 0.01; ///< model: shed-fraction target for what-ifs
-  // network knobs (serve --listen / netload)
-  std::string listen;       ///< serve: "addr:port" to put the engine on the wire
-  std::string port_file;    ///< serve: write the bound port; netload: read it
-  std::string host = "127.0.0.1";  ///< netload target
-  std::uint16_t port = 0;          ///< netload target
-  std::size_t connections = 4;     ///< netload connections
-  bool closed_loop = false;        ///< netload: closed loop instead of Poisson
-  double think_time = 0.001;       ///< netload closed loop: mean think seconds
-  std::uint16_t tenants = 1;       ///< netload: round-robined tenant ids
-  std::size_t payload = 0;         ///< netload: request payload bytes
-  std::uint64_t deadline_us = 0;   ///< netload: client deadline on the wire
-  // router knobs
-  std::vector<std::string> shards;            ///< router: HOST:PORT backends
-  std::vector<std::string> shard_port_files;  ///< router: loopback backends
-  double slo_ms = 50.0;            ///< router: rebalance SLO on shard p99
-  double rebalance_interval = 1.0; ///< router: placement decision cadence
-  bool no_rebalance = false;       ///< router: disable the rebalancer
-  std::uint64_t redial_budget = 8; ///< router: failed dials before dead
-  std::string scale_file;          ///< router: write scale recommendations
-  std::uint32_t shard_id = 0;      ///< router-ctl: add/remove target id
-  bool shard_id_given = false;
+  std::vector<std::string> args;  ///< positional arguments
+  std::set<std::string> given;    ///< flags named on the command line
+  // tuning and model
+  std::string optimizer;
+  std::uint64_t seed{};
+  int cores{};
+  double shed_target{};  ///< model: shed-fraction target for what-ifs
+  // serve
+  std::string workload;
+  double rate{};      ///< open-loop arrivals/s (before serve's shift)
+  double duration{};  ///< serving/offering time, seconds
+  double shift{};     ///< serve: rate multiplier for the second half
+  std::size_t workers{};
+  double request_timeout{};  ///< per-request deadline, seconds (0 = none)
+  bool model_warm{};         ///< warm-start the tuner from the model
+  double model_veto{};       ///< veto band (0 = off); vetoes block
+  // wire: serve --listen, router, netload, router-ctl
+  std::optional<HostPort> listen;
+  std::string port_file;  ///< serve/router: write the bound port; else read it
+  std::string host;
+  std::uint16_t port{};  ///< 0 = take it from --port-file
+  std::size_t connections{};
+  bool closed_loop{};
+  double think_time{};  ///< netload closed loop: mean think seconds
+  std::uint16_t tenants{};
+  std::size_t payload{};
+  std::uint64_t deadline_us{};
+  std::vector<HostPort> shards;
+  std::vector<std::string> shard_port_files;
+  double slo_ms{};
+  double rebalance_interval{};
+  bool no_rebalance{};
+  std::uint64_t redial_budget{};
+  std::string scale_file;
+  std::optional<std::uint32_t> shard_id;
 };
 
-Options parse_options(const std::vector<std::string>& args, std::size_t start) {
-  Options opts;
-  std::size_t i = start;
-  while (i < args.size()) {
-    // No-argument flags first; everything else consumes a value.
-    if (args[i] == "--closed-loop") {
-      opts.closed_loop = true;
-      ++i;
-      continue;
-    }
-    if (args[i] == "--no-rebalance") {
-      opts.no_rebalance = true;
-      ++i;
-      continue;
-    }
-    if (args[i] == "--model-warm") {
-      opts.model_warm = true;
-      ++i;
-      continue;
-    }
-    if (i + 1 >= args.size()) {
-      throw std::invalid_argument{"option " + args[i] + " needs a value"};
-    }
-    if (args[i] == "--optimizer") {
-      opts.optimizer = args[i + 1];
-    } else if (args[i] == "--seed") {
-      opts.seed = std::stoull(args[i + 1]);
-    } else if (args[i] == "--cores") {
-      opts.cores = std::stoi(args[i + 1]);
-      opts.cores_given = true;
-    } else if (args[i] == "--workload") {
-      opts.workload = args[i + 1];
-    } else if (args[i] == "--rate") {
-      opts.rate = std::stod(args[i + 1]);
-    } else if (args[i] == "--duration") {
-      opts.duration = std::stod(args[i + 1]);
-    } else if (args[i] == "--shift") {
-      opts.shift = std::stod(args[i + 1]);
-    } else if (args[i] == "--workers") {
-      opts.workers = std::stoul(args[i + 1]);
-    } else if (args[i] == "--request-timeout") {
-      opts.request_timeout = std::stod(args[i + 1]);
-    } else if (args[i] == "--model-veto") {
-      opts.model_veto = std::stod(args[i + 1]);
-    } else if (args[i] == "--shed-target") {
-      opts.shed_target = std::stod(args[i + 1]);
-    } else if (args[i] == "--listen") {
-      opts.listen = args[i + 1];
-    } else if (args[i] == "--port-file") {
-      opts.port_file = args[i + 1];
-    } else if (args[i] == "--host") {
-      opts.host = args[i + 1];
-    } else if (args[i] == "--port") {
-      opts.port = parse_port(args[i + 1], "--port");
-    } else if (args[i] == "--connections") {
-      opts.connections = std::stoul(args[i + 1]);
-    } else if (args[i] == "--think") {
-      opts.think_time = std::stod(args[i + 1]);
-    } else if (args[i] == "--tenants") {
-      opts.tenants = static_cast<std::uint16_t>(std::stoul(args[i + 1]));
-    } else if (args[i] == "--payload") {
-      opts.payload = std::stoul(args[i + 1]);
-    } else if (args[i] == "--deadline-us") {
-      opts.deadline_us = std::stoull(args[i + 1]);
-    } else if (args[i] == "--shard") {
-      opts.shards.push_back(args[i + 1]);
-    } else if (args[i] == "--shard-port-file") {
-      opts.shard_port_files.push_back(args[i + 1]);
-    } else if (args[i] == "--slo-ms") {
-      opts.slo_ms = std::stod(args[i + 1]);
-    } else if (args[i] == "--rebalance-interval") {
-      opts.rebalance_interval = std::stod(args[i + 1]);
-    } else if (args[i] == "--redial-budget") {
-      opts.redial_budget = std::stoull(args[i + 1]);
-    } else if (args[i] == "--scale-file") {
-      opts.scale_file = args[i + 1];
-    } else if (args[i] == "--shard-id") {
-      opts.shard_id = static_cast<std::uint32_t>(std::stoul(args[i + 1]));
-      opts.shard_id_given = true;
-    } else if (args[i] == "--failpoints") {
-      // Arm immediately — global, not an Options field: failpoints are
-      // process-wide and must be live before any workload code runs.
-      util::FailpointRegistry::instance().arm_from_string(args[i + 1]);
-    } else {
-      throw std::invalid_argument{"unknown option " + args[i]};
-    }
-    i += 2;
+/// Stores one flag's value into `field`: a switch sets its bool, a number
+/// must lie in lo..hi (hi = 0: the type's whole range, nonnegative reals).
+template <auto field, auto lo = 0, auto hi = 0>
+void store(Options& o, const std::string& value, const std::string& flag) {
+  using T = std::remove_reference_t<decltype(o.*field)>;
+  if constexpr (std::is_same_v<T, bool>) {
+    o.*field = true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    o.*field = value;
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    (o.*field).push_back(value);
+  } else {
+    using Limits = std::numeric_limits<T>;
+    const T top = hi != 0              ? static_cast<T>(hi)
+                  : Limits::has_infinity ? Limits::infinity()
+                                         : Limits::max();
+    o.*field = parse_number<T>(value, flag, static_cast<T>(lo), top);
   }
-  return opts;
+}
+
+struct Flag {
+  const char* name;
+  const char* metavar;  ///< nullptr: a switch, which takes no value
+  void (*set)(Options&, const std::string& value, const std::string& flag);
+};
+
+const Flag kFlags[] = {
+    {"--failpoints", "SPEC",
+     [](Options&, const std::string& value, const std::string&) {
+       util::FailpointRegistry::instance().arm_from_string(value);
+     }},
+    {"--optimizer", "NAME", store<&Options::optimizer>},
+    {"--seed", "N", store<&Options::seed>},
+    {"--cores", "N", store<&Options::cores, 1, kMaxThreads>},
+    {"--shed-target", "F", store<&Options::shed_target>},
+    {"--workload", "W", store<&Options::workload>},
+    {"--rate", "R", store<&Options::rate>},
+    {"--duration", "S", store<&Options::duration>},
+    {"--shift", "F", store<&Options::shift>},
+    {"--workers", "N", store<&Options::workers, 1, kMaxThreads>},
+    {"--request-timeout", "S", store<&Options::request_timeout>},
+    {"--model-warm", nullptr, store<&Options::model_warm>},
+    {"--model-veto", "BAND", store<&Options::model_veto>},
+    {"--listen", "ADDR:PORT",
+     [](Options& o, const std::string& value, const std::string& flag) {
+       o.listen = split_host_port(value, flag);
+     }},
+    {"--port-file", "F", store<&Options::port_file>},
+    {"--host", "H", store<&Options::host>},
+    {"--port", "P",
+     [](Options& o, const std::string& value, const std::string& flag) {
+       o.port = parse_port(value, flag);
+     }},
+    {"--connections", "N", store<&Options::connections, 1, kMaxThreads>},
+    {"--closed-loop", nullptr, store<&Options::closed_loop>},
+    {"--think", "S", store<&Options::think_time>},
+    {"--tenants", "N", store<&Options::tenants>},
+    {"--payload", "BYTES", store<&Options::payload, 0, net::kMaxPayloadBytes>},
+    {"--deadline-us", "U", store<&Options::deadline_us>},
+    {"--shard", "HOST:PORT",
+     [](Options& o, const std::string& value, const std::string& flag) {
+       o.shards.push_back(split_host_port(value, flag));
+     }},
+    {"--shard-port-file", "F", store<&Options::shard_port_files>},
+    {"--slo-ms", "MS", store<&Options::slo_ms>},
+    {"--rebalance-interval", "S", store<&Options::rebalance_interval>},
+    {"--no-rebalance", nullptr, store<&Options::no_rebalance>},
+    {"--redial-budget", "N", store<&Options::redial_budget>},
+    {"--scale-file", "F", store<&Options::scale_file>},
+    {"--shard-id", "N",
+     [](Options& o, const std::string& value, const std::string& flag) {
+       o.shard_id = parse_number<std::uint32_t>(
+           value, flag, 0, std::numeric_limits<std::uint32_t>::max());
+     }},
+};
+
+const Flag* find_flag(const std::string& name) {
+  for (const Flag& flag : kFlags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
+/// The target port from --port, or from --port-file when one is named.
+std::uint16_t target_port(const Options& o, const std::string& command) {
+  const std::uint16_t port =
+      o.port_file.empty() ? o.port : read_port_file(o.port_file);
+  if (port == 0) throw UsageError{command + " needs --port or --port-file"};
+  return port;
+}
+
+/// The backends named by --shard, then those named by --shard-port-file.
+std::vector<HostPort> shard_addresses(const Options& o, const std::string& command) {
+  std::vector<HostPort> shards = o.shards;
+  for (const std::string& file : o.shard_port_files) {
+    shards.push_back(HostPort{"127.0.0.1", read_port_file(file)});
+  }
+  if (shards.empty()) {
+    throw UsageError{command + " needs --shard HOST:PORT or --shard-port-file F"};
+  }
+  return shards;
 }
 
 std::unique_ptr<opt::Optimizer> make_optimizer(const std::string& name,
                                                const opt::ConfigSpace& space,
                                                std::uint64_t seed,
                                                const opt::Prior* prior = nullptr) {
-  if (name == "autopn") {
+  if (name == "autopn" || name == "smbo") {
     opt::AutoPnParams params;
-    if (prior != nullptr) params.prior = *prior;
-    return std::make_unique<opt::AutoPnOptimizer>(space, params, seed);
-  }
-  if (name == "smbo") {
-    opt::AutoPnParams params;
-    params.hill_climb_refinement = false;
+    params.hill_climb_refinement = name == "autopn";
     if (prior != nullptr) params.prior = *prior;
     return std::make_unique<opt::AutoPnOptimizer>(space, params, seed);
   }
@@ -279,7 +267,17 @@ std::unique_ptr<opt::Optimizer> make_optimizer(const std::string& name,
   throw std::invalid_argument{"unknown optimizer " + name};
 }
 
-int cmd_workloads() {
+std::string membership_log(const std::vector<net::MembershipLogEntry>& log) {
+  std::string text;
+  for (const net::MembershipLogEntry& entry : log) {
+    text += " " + std::to_string(entry.seq) + ":" +
+            router::to_string(static_cast<router::MembershipEvent>(entry.event)) +
+            "(" + std::to_string(entry.shard_id) + ")";
+  }
+  return text;
+}
+
+int cmd_workloads(const Options&) {
   const opt::ConfigSpace space{48};
   util::TextTable table{{"workload", "optimum", "thr@opt", "opt/(1,1)"}};
   for (const auto& params : sim::paper_workloads()) {
@@ -295,9 +293,9 @@ int cmd_workloads() {
   return 0;
 }
 
-int cmd_surface(const std::string& workload, const Options& opts) {
-  const opt::ConfigSpace space{opts.cores};
-  const sim::SurfaceModel model{sim::workload_by_name(workload), opts.cores};
+int cmd_surface(const Options& o) {
+  const opt::ConfigSpace space{o.cores};
+  const sim::SurfaceModel model{sim::workload_by_name(o.args[0]), o.cores};
   util::TextTable table{{"(t,c)", "thr", "latency(ms)", "abort", "DFO"}};
   for (const opt::Config& cfg : space.all()) {
     table.add_row({cfg.to_string(), util::fmt_double(model.mean_throughput(cfg), 0),
@@ -313,30 +311,27 @@ int cmd_surface(const std::string& workload, const Options& opts) {
 /// (DESIGN.md §14) — predicted throughput/p50/p99/shed at an arrival rate,
 /// the shifted-rate question, the max sustainable rate for a shed target,
 /// and the min-shards answer.
-int cmd_model(const std::string& workload, const Options& opts) {
+int cmd_model(const Options& o) {
+  const std::string& workload = o.args[0];
   model::PipelineParams pipeline;
   pipeline.workload = sim::workload_by_name(workload);
-  pipeline.cores = opts.cores;
-  pipeline.workers = opts.workers;
+  pipeline.cores = o.cores;
+  pipeline.workers = o.workers;
   pipeline.queue_capacity = 512;
   const model::CompositionalModel m{pipeline};
-  const opt::ConfigSpace space{opts.cores};
+  const opt::ConfigSpace space{o.cores};
 
-  std::cout << "pipeline: " << workload << ", " << opts.workers
-            << " workers, queue " << pipeline.queue_capacity << ", "
-            << opts.cores << " cores; open-loop "
-            << util::fmt_double(opts.rate, 0) << " req/s\n";
+  std::cout << "pipeline: " << workload << ", " << o.workers << " workers, queue "
+            << pipeline.queue_capacity << ", " << o.cores << " cores; open-loop "
+            << util::fmt_double(o.rate, 0) << " req/s\n";
 
-  const auto best = m.best_at(space, opts.rate);
+  const auto best = m.best_at(space, o.rate);
   util::TextTable table{
       {"(t,c)", "thr", "p50(ms)", "p99(ms)", "shed", "util", "abort"}};
-  std::vector<opt::Config> rows{{1, 1},
-                                {1, std::max(1, opts.cores)},
-                                {std::max(1, opts.cores), 1},
-                                best.config};
-  for (const opt::Config& cfg : rows) {
+  for (const opt::Config& cfg : {opt::Config{1, 1}, opt::Config{1, o.cores},
+                                 opt::Config{o.cores, 1}, best.config}) {
     if (!space.valid(cfg)) continue;
-    const model::Prediction p = m.predict(cfg, opts.rate);
+    const model::Prediction p = m.predict(cfg, o.rate);
     table.add_row({cfg.to_string() + (cfg == best.config ? " *" : ""),
                    util::fmt_double(p.throughput, 0),
                    util::fmt_double(p.p50 * 1e3, 2),
@@ -348,70 +343,66 @@ int cmd_model(const std::string& workload, const Options& opts) {
   table.print(std::cout);
   std::cout << "* best predicted configuration at this rate\n";
 
-  const double shifted_rate = opts.rate * opts.shift;
+  const double shifted_rate = o.rate * o.shift;
   const model::Prediction shifted = m.predict(best.config, shifted_rate);
-  std::cout << "at " << util::fmt_double(opts.shift, 1) << "x rate ("
+  std::cout << "at " << util::fmt_double(o.shift, 1) << "x rate ("
             << util::fmt_double(shifted_rate, 0) << " req/s): p99 "
             << util::fmt_double(shifted.p99 * 1e3, 2) << " ms, shed "
             << util::fmt_percent(shifted.shed_fraction) << ", throughput "
             << util::fmt_double(shifted.throughput, 0) << " req/s\n";
-  std::cout << "max rate for shed <= " << util::fmt_percent(opts.shed_target)
-            << ": "
-            << util::fmt_double(m.max_rate_for_shed(best.config, opts.shed_target), 0)
+  std::cout << "max rate for shed <= " << util::fmt_percent(o.shed_target) << ": "
+            << util::fmt_double(m.max_rate_for_shed(best.config, o.shed_target), 0)
             << " req/s (capacity "
             << util::fmt_double(m.capacity(best.config), 0) << " req/s)\n";
   const std::size_t shards =
-      m.min_shards_for_shed(shifted_rate, best.config, opts.shed_target);
-  std::cout << "min shards for shed <= " << util::fmt_percent(opts.shed_target)
-            << " at " << util::fmt_double(shifted_rate, 0) << " req/s: ";
-  if (shards > 64) {
-    std::cout << "> 64\n";
-  } else {
-    std::cout << shards << "\n";
-  }
+      m.min_shards_for_shed(shifted_rate, best.config, o.shed_target);
+  std::cout << "min shards for shed <= " << util::fmt_percent(o.shed_target)
+            << " at " << util::fmt_double(shifted_rate, 0) << " req/s: "
+            << (shards > 64 ? "> 64" : std::to_string(shards)) << "\n";
   return 0;
 }
 
-int cmd_tune(const std::string& workload, const Options& opts) {
-  const opt::ConfigSpace space{opts.cores};
-  const sim::SurfaceModel model{sim::workload_by_name(workload), opts.cores};
-  auto optimizer = make_optimizer(opts.optimizer, space, opts.seed);
-  util::Rng noise{opts.seed ^ 0xabc};
+int cmd_tune(const Options& o) {
+  const std::string& workload = o.args[0];
+  const opt::ConfigSpace space{o.cores};
+  const sim::SurfaceModel model{sim::workload_by_name(workload), o.cores};
+  auto optimizer = make_optimizer(o.optimizer, space, o.seed);
+  util::Rng noise{o.seed ^ 0xabc};
   std::cout << "tuning " << workload << " with " << optimizer->name() << " over "
             << space.size() << " configurations\n";
+  const opt::RunResult run = opt::run_to_convergence(
+      *optimizer, [&](const opt::Config& c) { return model.sample(c, 1.0, noise); },
+      kMaxSteps);
   util::TextTable steps{{"step", "config", "measured", "best so far", "DFO"}};
-  std::size_t step = 0;
   double best = 0.0;
   opt::Config incumbent{1, 1};
-  while (auto proposal = optimizer->propose()) {
-    const double kpi = model.sample(*proposal, 1.0, noise);
-    optimizer->observe(*proposal, kpi);
-    if (kpi > best) {
-      best = kpi;
-      incumbent = *proposal;
+  for (std::size_t i = 0; i < run.steps.size(); ++i) {
+    const opt::TraceStep& step = run.steps[i];
+    if (step.kpi > best) {
+      best = step.kpi;
+      incumbent = step.config;
     }
-    steps.add_row({std::to_string(++step), proposal->to_string(),
-                   util::fmt_double(kpi, 0), incumbent.to_string(),
+    steps.add_row({std::to_string(i + 1), step.config.to_string(),
+                   util::fmt_double(step.kpi, 0), incumbent.to_string(),
                    util::fmt_percent(model.distance_from_optimum(space, incumbent))});
-    if (step > 400) break;
   }
   steps.print(std::cout);
   std::cout << "final: " << incumbent.to_string() << " (DFO "
             << util::fmt_percent(model.distance_from_optimum(space, incumbent))
-            << ") after " << step << " explorations\n";
+            << ") after " << run.explorations() << " explorations\n";
   return 0;
 }
 
-int cmd_compare(const std::string& workload, const Options& opts) {
-  const opt::ConfigSpace space{opts.cores};
-  const sim::SurfaceModel model{sim::workload_by_name(workload), opts.cores};
+int cmd_compare(const Options& o) {
+  const opt::ConfigSpace space{o.cores};
+  const sim::SurfaceModel model{sim::workload_by_name(o.args[0]), o.cores};
   util::TextTable table{{"optimizer", "chosen", "DFO", "explorations"}};
   for (const std::string name : {"autopn", "smbo", "random", "grid", "hc", "sa", "ga"}) {
-    auto optimizer = make_optimizer(name, space, opts.seed);
-    util::Rng noise{opts.seed ^ 0xdef};
+    auto optimizer = make_optimizer(name, space, o.seed);
+    util::Rng noise{o.seed ^ 0xdef};
     const auto result = opt::run_to_convergence(
         *optimizer, [&](const opt::Config& c) { return model.sample(c, 1.0, noise); },
-        400);
+        kMaxSteps);
     table.add_row({name, result.final_best.to_string(),
                    util::fmt_percent(
                        model.distance_from_optimum(space, result.final_best)),
@@ -421,11 +412,37 @@ int cmd_compare(const std::string& workload, const Options& opts) {
   return 0;
 }
 
-int cmd_record(const std::string& workload, const std::string& file,
-               const Options& opts) {
-  const opt::ConfigSpace space{opts.cores};
-  const sim::SurfaceModel model{sim::workload_by_name(workload), opts.cores};
-  const auto trace = sim::SurfaceTrace::record(model, space, 10, 600.0, opts.seed);
+int cmd_des_tune(const Options& o) {
+  const std::string& workload = o.args[0];
+  const opt::ConfigSpace space{o.cores};
+  const sim::DesParams des_params =
+      sim::des_from_workload(sim::workload_by_name(workload), o.cores);
+  auto optimizer = make_optimizer(o.optimizer, space, o.seed);
+  std::cout << "tuning " << workload << " on the discrete-event simulator with "
+            << optimizer->name() << "\n";
+  std::uint64_t window = 0;
+  const opt::RunResult run = opt::run_to_convergence(
+      *optimizer,
+      [&](const opt::Config& c) {
+        sim::DesSimulator sim{des_params, c, o.seed + window++};
+        return sim.run_commits(200, 5.0).throughput();
+      },
+      kMaxSteps);
+  sim::DesSimulator verify{des_params, run.final_best, o.seed ^ 0xfff};
+  const auto long_run = verify.run(3.0);
+  std::cout << "chosen " << run.final_best.to_string() << " after "
+            << run.explorations() << " explorations; long-run DES throughput "
+            << util::fmt_double(long_run.throughput(), 0) << " tx/s, abort rate "
+            << util::fmt_percent(long_run.abort_rate()) << "\n";
+  return 0;
+}
+
+int cmd_record(const Options& o) {
+  const std::string& workload = o.args[0];
+  const std::string& file = o.args[1];
+  const opt::ConfigSpace space{o.cores};
+  const sim::SurfaceModel model{sim::workload_by_name(workload), o.cores};
+  const auto trace = sim::SurfaceTrace::record(model, space, 10, 600.0, o.seed);
   std::ofstream out{file};
   if (!out) {
     std::cerr << "cannot open " << file << "\n";
@@ -437,59 +454,20 @@ int cmd_record(const std::string& workload, const std::string& file,
   return 0;
 }
 
-int cmd_des_tune(const std::string& workload, const Options& opts) {
-  const opt::ConfigSpace space{opts.cores};
-  const sim::DesParams des_params =
-      sim::des_from_workload(sim::workload_by_name(workload), opts.cores);
-  auto optimizer = make_optimizer(opts.optimizer, space, opts.seed);
-  std::cout << "tuning " << workload << " on the discrete-event simulator with "
-            << optimizer->name() << "\n";
-  std::size_t step = 0;
-  while (auto proposal = optimizer->propose()) {
-    sim::DesSimulator sim{des_params, *proposal, opts.seed + step};
-    const auto window = sim.run_commits(200, 5.0);
-    optimizer->observe(*proposal, window.throughput());
-    ++step;
-    if (step > 400) break;
+int cmd_info(const Options& o) {
+  const std::string& file = o.args[0];
+  std::ifstream in{file};
+  if (!in) {
+    std::cerr << "cannot open " << file << "\n";
+    return 1;
   }
-  const opt::Config chosen = optimizer->best();
-  sim::DesSimulator verify{des_params, chosen, opts.seed ^ 0xfff};
-  const auto long_run = verify.run(3.0);
-  std::cout << "chosen " << chosen.to_string() << " after " << step
-            << " explorations; long-run DES throughput "
-            << util::fmt_double(long_run.throughput(), 0) << " tx/s, abort rate "
-            << util::fmt_percent(long_run.abort_rate()) << "\n";
+  const auto trace = sim::SurfaceTrace::load(in);
+  const auto optimum = trace.optimum();
+  std::cout << "workload: " << trace.workload() << "\ncores: " << trace.cores()
+            << "\nconfigurations: " << trace.size()
+            << "\noptimum: " << optimum.config.to_string() << " @ "
+            << util::fmt_double(optimum.throughput, 1) << "\n";
   return 0;
-}
-
-/// SLO lines shared by the in-process and network serve paths: the queue's
-/// current retry-after hint and the per-tenant latency breakdown.
-void print_slo_details(const serve::ServeReport& report) {
-  std::cout << "retry-after:   "
-            << util::fmt_double(report.retry_after_hint * 1e3, 1)
-            << " ms (hint a request shed right now would receive)\n";
-  if (report.queue_wait.count > 0) {
-    // Per-stage breakdown of the end-to-end latency — the production
-    // counters the compositional model fits from.
-    util::TextTable stages{{"stage", "mean(ms)", "p50(ms)", "p99(ms)"}};
-    stages.add_row({"queue wait", util::fmt_double(report.queue_wait.mean * 1e3, 2),
-                    util::fmt_double(report.queue_wait.p50 * 1e3, 2),
-                    util::fmt_double(report.queue_wait.p99 * 1e3, 2)});
-    stages.add_row({"service", util::fmt_double(report.service.mean * 1e3, 2),
-                    util::fmt_double(report.service.p50 * 1e3, 2),
-                    util::fmt_double(report.service.p99 * 1e3, 2)});
-    stages.print(std::cout);
-  }
-  if (report.tenants.size() > 1) {
-    util::TextTable tenants{{"tenant", "requests", "p50(ms)", "p95(ms)", "p99(ms)"}};
-    for (const auto& t : report.tenants) {
-      tenants.add_row({std::to_string(t.tenant), std::to_string(t.latency.count),
-                       util::fmt_double(t.latency.p50 * 1e3, 2),
-                       util::fmt_double(t.latency.p95 * 1e3, 2),
-                       util::fmt_double(t.latency.p99 * 1e3, 2)});
-    }
-    tenants.print(std::cout);
-  }
 }
 
 /// Maps a servable workload name onto the sim preset that parameterizes the
@@ -503,94 +481,189 @@ std::string sim_preset_for(const std::string& serve_workload) {
   return serve_workload;  // already a sim preset name
 }
 
-/// serve --listen: the full stack on the wire — NetServer in front of the
-/// engine, the AutoPN controller tuning live, traffic arriving over TCP
-/// (drive it with `autopn netload`).
-int cmd_serve_net(const Options& opts) {
-  const HostPort listen = split_host_port(opts.listen, "--listen");
-  net::NetServerConfig net_cfg;
-  net_cfg.bind_address = listen.host;
-  net_cfg.port = listen.port;
-
-  const int cores = opts.cores_given ? opts.cores : 8;
+/// serve: the live path — a real PN-STM behind the serving engine, and the
+/// AutoPN controller retuning (t, c) on the running system via CUSUM. The
+/// traffic is in-process open-loop arrivals whose rate shifts halfway
+/// through, or, with --listen, whatever reaches a NetServer in front of the
+/// engine over TCP (drive it with `autopn netload`).
+int cmd_serve(const Options& o) {
+  if (o.listen && (o.given.count("--rate") > 0 || o.given.count("--shift") > 0)) {
+    throw UsageError{"serve --listen takes no --rate or --shift: netload sets the rate"};
+  }
+  const std::string& name = o.args.empty() ? o.workload : o.args[0];
   stm::StmConfig stm_cfg;
-  stm_cfg.max_cores = static_cast<std::size_t>(cores);
-  stm_cfg.pool_threads = std::max<std::size_t>(2, opts.workers);
+  stm_cfg.max_cores = static_cast<std::size_t>(o.cores);
+  stm_cfg.pool_threads = std::max<std::size_t>(2, o.workers);
   stm::Stm stm{stm_cfg};
   util::WallClock clock;
-  auto workload = serve::make_servable_workload(opts.workload, stm, opts.seed ^ 0x5e);
+  auto workload = serve::make_servable_workload(name, stm, o.seed ^ 0x5e);
 
   serve::ServeConfig serve_cfg;
-  serve_cfg.workers = opts.workers;
+  serve_cfg.workers = o.workers;
   serve_cfg.queue_capacity = 512;
-  serve_cfg.seed = opts.seed;
-  serve_cfg.request_timeout = opts.request_timeout;
+  serve_cfg.seed = o.seed;
+  serve_cfg.request_timeout = o.request_timeout;
   serve::ServeEngine engine{stm, workload.handler, clock, serve_cfg};
-  net::NetServer server{engine, {}, net_cfg};
+  const opt::ConfigSpace space{o.cores};
 
-  if (!opts.port_file.empty()) {
-    std::ofstream out{opts.port_file};
-    out << server.port() << "\n";
+  // Optional model assists: a warm-start prior for the optimizer and/or a
+  // veto advisor for the controller, both from the compositional model of
+  // the sim preset closest to the served workload.
+  std::optional<model::TunerAdvisor> advisor;
+  std::optional<opt::Prior> prior;
+  if (o.model_warm || o.model_veto > 0.0) {
+    model::PipelineParams pipeline;
+    pipeline.workload = sim::workload_by_name(sim_preset_for(name));
+    pipeline.cores = o.cores;
+    pipeline.workers = o.workers;
+    pipeline.queue_capacity = serve_cfg.queue_capacity;
+    model::CompositionalModel m{pipeline};
+    if (o.model_warm) prior = model::make_prior(m, space);
+    if (o.model_veto > 0.0) advisor.emplace(std::move(m));
   }
-  std::cout << "listening on " << net_cfg.bind_address << ":" << server.port()
-            << " — " << opts.workload << " workload, " << opts.workers
-            << " workers, serving for " << util::fmt_double(opts.duration, 1)
-            << "s\n"
-            << std::flush;
 
-  const opt::ConfigSpace space{cores};
   runtime::ControllerParams params;
   params.max_window_seconds = 0.5;
+  params.model_veto_band = o.model_veto;
+  params.model_veto_blocks = o.model_veto > 0.0;
+  const opt::Prior* prior_ptr = prior.has_value() ? &*prior : nullptr;
   runtime::TuningController controller{
-      stm, make_optimizer(opts.optimizer, space, opts.seed),
+      stm, make_optimizer(o.optimizer, space, o.seed, prior_ptr),
       std::make_unique<runtime::FixedTimePolicy>(0.05), clock, params};
   controller.set_latency_source(&engine.kpi_source());
+  if (advisor.has_value()) controller.set_config_advisor(&*advisor);
+
+  std::optional<net::NetServer> server;
+  const double rates[2] = {o.rate, o.rate * o.shift};
+  if (o.listen) {
+    net::NetServerConfig net_cfg;
+    net_cfg.bind_address = o.listen->host;
+    net_cfg.port = o.listen->port;
+    server.emplace(engine, net::NetServer::HandlerTable{}, net_cfg);
+    if (!o.port_file.empty()) std::ofstream{o.port_file} << server->port() << "\n";
+    std::cout << "listening on " << net_cfg.bind_address << ":" << server->port()
+              << " — " << name << " workload, " << o.workers
+              << " workers, serving for " << util::fmt_double(o.duration, 1) << "s\n"
+              << std::flush;
+  } else {
+    std::cout << "serving " << name << ": " << o.workers << " workers, queue "
+              << serve_cfg.queue_capacity << ", open-loop "
+              << util::fmt_double(rates[0], 0) << " req/s shifting to "
+              << util::fmt_double(rates[1], 0) << " req/s at t="
+              << util::fmt_double(o.duration / 2, 1) << "s; " << o.optimizer
+              << " tuning live over " << space.size() << " configurations\n";
+  }
 
   const double start = clock.now();
-  const std::size_t rounds = controller.tune_and_watch(
-      [&] { return make_optimizer(opts.optimizer, space, opts.seed); },
-      opts.duration);
-  const double elapsed = clock.now() - start;
-  server.shutdown();
-
-  const net::NetServerReport wire = server.report();
-  const serve::ServeReport report = engine.report();
-  util::TextTable ledger{{"accepted", "disconnects", "decoded", "written",
-                          "dropped", "shed", "bp pauses"}};
-  ledger.add_row({std::to_string(wire.accepted), std::to_string(wire.disconnects),
-                  std::to_string(wire.requests_decoded),
-                  std::to_string(wire.responses_written),
-                  std::to_string(wire.responses_dropped),
-                  std::to_string(wire.shed_responses),
-                  std::to_string(wire.backpressure_pauses)});
-  ledger.print(std::cout);
-  if (wire.accept.count > 0) {
-    std::cout << "wire stages:   accept p50 "
-              << util::fmt_double(wire.accept.p50 * 1e6, 1) << " µs p99 "
-              << util::fmt_double(wire.accept.p99 * 1e6, 1) << " µs; reply p50 "
-              << util::fmt_double(wire.reply.p50 * 1e6, 1) << " µs p99 "
-              << util::fmt_double(wire.reply.p99 * 1e6, 1) << " µs\n";
+  std::size_t rounds = 0;
+  std::jthread tuner{[&] {
+    rounds = controller.tune_and_watch(
+        [&] { return make_optimizer(o.optimizer, space, o.seed, prior_ptr); },
+        o.duration);
+  }};
+  std::vector<serve::OpenLoopResult> phases;
+  for (int i = 0; !server && i < 2; ++i) {
+    serve::OpenLoopParams phase;
+    phase.rate = rates[i];
+    phase.duration = o.duration / 2;
+    phase.seed = o.seed ^ (i == 0 ? 0xaa : 0xbb);
+    phases.push_back(serve::run_open_loop(engine, phase));
   }
-  const bool ledger_exact =
-      wire.requests_decoded == wire.responses_enqueued &&
-      wire.responses_enqueued == wire.responses_written + wire.responses_dropped;
-  std::cout << "wire ledger:   "
-            << (ledger_exact ? "exact (decoded == written + dropped)"
-                             : "VIOLATED")
-            << "\ntuning rounds: " << rounds << "\nchosen (t,c):  ("
-            << stm.top_limit() << "," << stm.child_limit()
+  tuner.join();
+  const double elapsed = clock.now() - start;
+
+  bool wire_exact = true;
+  if (server) {
+    server->shutdown();
+    const net::NetServerReport wire = server->report();
+    util::TextTable ledger{{"accepted", "disconnects", "decoded", "written",
+                            "dropped", "shed", "bp pauses"}};
+    ledger.add_row({std::to_string(wire.accepted), std::to_string(wire.disconnects),
+                    std::to_string(wire.requests_decoded),
+                    std::to_string(wire.responses_written),
+                    std::to_string(wire.responses_dropped),
+                    std::to_string(wire.shed_responses),
+                    std::to_string(wire.backpressure_pauses)});
+    ledger.print(std::cout);
+    if (wire.accept.count > 0) {
+      std::cout << "wire stages:   accept p50 "
+                << util::fmt_double(wire.accept.p50 * 1e6, 1) << " µs p99 "
+                << util::fmt_double(wire.accept.p99 * 1e6, 1) << " µs; reply p50 "
+                << util::fmt_double(wire.reply.p50 * 1e6, 1) << " µs p99 "
+                << util::fmt_double(wire.reply.p99 * 1e6, 1) << " µs\n";
+    }
+    wire_exact = wire.ledger_exact();
+    std::cout << "wire ledger:   "
+              << (wire_exact ? "exact (decoded == written + dropped)" : "VIOLATED")
+              << "\n";
+  } else {
+    engine.drain_and_stop();
+    util::TextTable table{{"phase", "rate", "offered", "shed", "max depth"}};
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+      table.add_row({std::to_string(i + 1), util::fmt_double(rates[i], 0),
+                     std::to_string(phases[i].offered),
+                     util::fmt_percent(phases[i].shed_fraction()),
+                     std::to_string(phases[i].max_queue_depth)});
+    }
+    table.print(std::cout);
+  }
+
+  const serve::ServeReport report = engine.report();
+  std::cout << "tuning rounds: " << rounds
+            << (!server && rounds >= 2 ? " (the rate shift triggered a re-tune)" : "")
+            << "\nchosen (t,c):  (" << stm.top_limit() << "," << stm.child_limit()
             << ")\nthroughput:    "
-            << util::fmt_double(static_cast<double>(report.completed) /
-                                    std::max(elapsed, 1e-9),
-                                0)
-            << " req/s (" << report.completed << " completed)\nlatency (ms):  p50 "
+            << util::fmt_double(
+                   static_cast<double>(report.completed) / std::max(elapsed, 1e-9), 0)
+            << " req/s (" << report.completed << " completed in "
+            << util::fmt_double(elapsed, 2) << "s)\nlatency (ms):  p50 "
             << util::fmt_double(report.latency.p50 * 1e3, 2) << "  p95 "
             << util::fmt_double(report.latency.p95 * 1e3, 2) << "  p99 "
             << util::fmt_double(report.latency.p99 * 1e3, 2)
             << "\nshed fraction: " << util::fmt_percent(report.shed_fraction)
-            << " (" << report.shed << "/" << report.offered << " offered)\n";
-  print_slo_details(report);
-  if (!ledger_exact) return 1;
+            << " (" << report.shed << "/" << report.offered << " offered)\n"
+            << "retry-after:   " << util::fmt_double(report.retry_after_hint * 1e3, 1)
+            << " ms (hint a request shed right now would receive)\n";
+  if (report.queue_wait.count > 0) {
+    // Per-stage breakdown of the end-to-end latency — the production
+    // counters the compositional model fits from.
+    util::TextTable stages{{"stage", "mean(ms)", "p50(ms)", "p99(ms)"}};
+    for (const auto& [stage, s] :
+         {std::pair{"queue wait", report.queue_wait}, std::pair{"service", report.service}}) {
+      stages.add_row({stage, util::fmt_double(s.mean * 1e3, 2),
+                      util::fmt_double(s.p50 * 1e3, 2), util::fmt_double(s.p99 * 1e3, 2)});
+    }
+    stages.print(std::cout);
+  }
+  if (report.tenants.size() > 1) {
+    util::TextTable tenants{{"tenant", "requests", "p50(ms)", "p95(ms)", "p99(ms)"}};
+    for (const auto& t : report.tenants) {
+      tenants.add_row({std::to_string(t.tenant), std::to_string(t.latency.count),
+                       util::fmt_double(t.latency.p50 * 1e3, 2),
+                       util::fmt_double(t.latency.p95 * 1e3, 2),
+                       util::fmt_double(t.latency.p99 * 1e3, 2)});
+    }
+    tenants.print(std::cout);
+  }
+  if (o.model_warm || o.model_veto > 0.0) {
+    std::cout << "model assist:  " << (o.model_warm ? "warm-start prior" : "")
+              << (o.model_warm && o.model_veto > 0.0 ? " + " : "")
+              << (o.model_veto > 0.0
+                      ? "veto band " + util::fmt_percent(o.model_veto) + " (" +
+                            std::to_string(controller.vetoes().flagged) +
+                            " flagged, " +
+                            std::to_string(controller.vetoes().blocked) + " blocked)"
+                      : "")
+              << "\n";
+  }
+  if (report.expired > 0 || o.request_timeout > 0.0) {
+    std::cout << "expired:       " << report.expired << " (deadline "
+              << util::fmt_double(o.request_timeout * 1e3, 0) << " ms)\n";
+  }
+  if (report.failed > 0) {
+    std::cout << "failed:        " << report.failed << " (handler errors)\n";
+  }
+  if (!wire_exact) return 1;
   if (!workload.verify()) {
     std::cerr << "consistency check FAILED\n";
     return 1;
@@ -604,63 +677,45 @@ int cmd_serve_net(const Options& opts) {
 /// polling, and ContTune-conservative latency-driven rebalancing. Serves
 /// the same wire protocol as a shard, so `autopn netload` drives it
 /// unchanged.
-int cmd_router(const Options& opts) {
-  if (opts.listen.empty()) {
-    std::cerr << "router needs --listen ADDR:PORT\n";
-    return 2;
-  }
-  const HostPort listen = split_host_port(opts.listen, "--listen");
-
+int cmd_router(const Options& o) {
+  if (!o.listen) throw UsageError{"router needs --listen ADDR:PORT"};
   std::vector<router::ShardAddress> shards;
-  std::uint32_t next_id = 0;
-  for (const std::string& spec : opts.shards) {
-    HostPort shard = split_host_port(spec, "--shard");
-    shards.push_back(
-        router::ShardAddress{next_id++, std::move(shard.host), shard.port});
-  }
-  for (const std::string& file : opts.shard_port_files) {
-    shards.push_back(
-        router::ShardAddress{next_id++, "127.0.0.1", read_port_file(file)});
-  }
-  if (shards.empty()) {
-    std::cerr << "router needs at least one --shard or --shard-port-file\n";
-    return 2;
+  for (HostPort& shard : shard_addresses(o, "router")) {
+    const auto id = static_cast<std::uint32_t>(shards.size());
+    shards.push_back(router::ShardAddress{id, std::move(shard.host), shard.port});
   }
 
   router::RouterConfig cfg;
-  cfg.server.bind_address = listen.host;
-  cfg.server.port = listen.port;
-  cfg.rebalance.slo_p99_us = static_cast<std::uint64_t>(opts.slo_ms * 1e3);
-  cfg.rebalance_seconds = opts.rebalance_interval;
-  cfg.rebalance_enabled = !opts.no_rebalance;
-  cfg.redial_budget = opts.redial_budget;
+  cfg.server.bind_address = o.listen->host;
+  cfg.server.port = o.listen->port;
+  cfg.rebalance.slo_p99_us = static_cast<std::uint64_t>(o.slo_ms * 1e3);
+  cfg.rebalance_seconds = o.rebalance_interval;
+  cfg.rebalance_enabled = !o.no_rebalance;
+  cfg.redial_budget = o.redial_budget;
   router::Router router{shards, cfg};
 
-  if (!opts.port_file.empty()) {
-    std::ofstream out{opts.port_file};
-    out << router.port() << "\n";
-  }
+  if (!o.port_file.empty()) std::ofstream{o.port_file} << router.port() << "\n";
   std::cout << "routing on " << cfg.server.bind_address << ":" << router.port()
             << " → " << shards.size() << " shards, SLO p99 "
-            << util::fmt_double(opts.slo_ms, 1) << " ms, rebalance "
+            << util::fmt_double(o.slo_ms, 1) << " ms, rebalance "
             << (cfg.rebalance_enabled
                     ? "every " + util::fmt_double(cfg.rebalance_seconds, 1) + "s"
                     : "off")
-            << ", serving for " << util::fmt_double(opts.duration, 1) << "s\n"
+            << ", serving for " << util::fmt_double(o.duration, 1) << "s\n"
             << std::flush;
 
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(opts.duration));
+          std::chrono::duration<double>(o.duration));
   int tick = 0;
   while (std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     // Publish the rebalancer's capacity recommendation for an external
     // autoscaler (scripts/run_cluster.sh --elastic) to act on.
-    if (!opts.scale_file.empty() && ++tick % 5 == 0) {
+    if (!o.scale_file.empty() && ++tick % 5 == 0) {
       const router::ScaleProposal scale = router.scale_recommendation();
-      std::ofstream out{opts.scale_file};
+      std::ofstream out{o.scale_file};
       out << router::to_string(scale.action);
       if (scale.action == router::ScaleAction::kRemove) {
         out << " " << scale.shard_id;
@@ -690,7 +745,6 @@ int cmd_router(const Options& opts) {
   slo.print(std::cout);
 
   const router::RouterReport report = router.report();
-  const net::NetServerReport wire = router.server_report();
   util::TextTable ledger{{"dispatched", "forwarded", "shed@router", "returned",
                           "synth", "held", "migrations", "forced cuts"}};
   ledger.add_row({std::to_string(report.dispatched),
@@ -702,83 +756,48 @@ int cmd_router(const Options& opts) {
                   std::to_string(report.migrations_completed),
                   std::to_string(report.forced_cuts)});
   ledger.print(std::cout);
-  const bool router_ledger_exact =
-      report.dispatched == report.forwarded + report.shed_local &&
-      report.forwarded == report.returned && report.late_responses == 0;
-  const bool wire_ledger_exact =
-      wire.requests_decoded == wire.responses_enqueued &&
-      wire.responses_enqueued == wire.responses_written + wire.responses_dropped;
+  const bool router_exact = report.ledger_exact();
+  const bool wire_exact = router.server_report().ledger_exact();
   std::cout << "router ledger: "
-            << (router_ledger_exact
+            << (router_exact
                     ? "exact (dispatched == forwarded + shed, forwarded == returned)"
                     : "VIOLATED")
             << "\nwire ledger:   "
-            << (wire_ledger_exact ? "exact (decoded == written + dropped)"
-                                  : "VIOLATED")
+            << (wire_exact ? "exact (decoded == written + dropped)" : "VIOLATED")
             << "\nmembership:    " << report.admits << " admits, "
             << report.retires << " retires, " << report.evictions
             << " evictions, " << report.readmits << " ring joins\n";
   if (!members.log.empty()) {
-    std::cout << "membership log:";
-    for (const net::MembershipLogEntry& entry : members.log) {
-      std::cout << " " << entry.seq << ":"
-                << router::to_string(
-                       static_cast<router::MembershipEvent>(entry.event))
-                << "(" << entry.shard_id << ")";
-    }
-    std::cout << "\n";
+    std::cout << "membership log:" << membership_log(members.log) << "\n";
   }
-  return router_ledger_exact && wire_ledger_exact ? 0 : 1;
+  return router_exact && wire_exact ? 0 : 1;
 }
 
 /// router-ctl: membership control client. Speaks the Membership frame
 /// pair at a running router — admit a shard, retire one, or read the
 /// member table, membership log, and scale recommendation. A plain shard
 /// answers ok=false ("not supported").
-int cmd_router_ctl(const std::string& action, const Options& opts) {
-  const std::uint16_t port =
-      opts.port_file.empty() ? opts.port : read_port_file(opts.port_file);
-  if (port == 0) {
-    std::cerr << "router-ctl needs --port or --port-file\n";
-    return 2;
-  }
-
+int cmd_router_ctl(const Options& o) {
+  const std::string& action = o.args[0];
+  const std::uint16_t port = target_port(o, "router-ctl");
   net::MembershipRequest request;
-  if (action == "add") {
-    request.op = net::MembershipOp::kAdd;
-    if (!opts.shard_id_given) {
-      std::cerr << "router-ctl add needs --shard-id N\n";
-      return 2;
-    }
-    request.shard_id = opts.shard_id;
-    if (!opts.shards.empty()) {
-      HostPort shard = split_host_port(opts.shards.front(), "--shard");
+  if (action == "add" || action == "remove") {
+    if (!o.shard_id) throw UsageError{"router-ctl " + action + " needs --shard-id N"};
+    request.shard_id = *o.shard_id;
+    request.op = net::MembershipOp::kRemove;
+    if (action == "add") {
+      HostPort shard = shard_addresses(o, "router-ctl add").front();
+      request.op = net::MembershipOp::kAdd;
       request.host = std::move(shard.host);
       request.port = shard.port;
-    } else if (!opts.shard_port_files.empty()) {
-      request.host = "127.0.0.1";
-      request.port = read_port_file(opts.shard_port_files.front());
-    } else {
-      std::cerr << "router-ctl add needs --shard HOST:PORT or "
-                   "--shard-port-file F\n";
-      return 2;
     }
-  } else if (action == "remove") {
-    request.op = net::MembershipOp::kRemove;
-    if (!opts.shard_id_given) {
-      std::cerr << "router-ctl remove needs --shard-id N\n";
-      return 2;
-    }
-    request.shard_id = opts.shard_id;
   } else if (action == "status") {
     request.op = net::MembershipOp::kStatus;
   } else {
-    std::cerr << "router-ctl wants add, remove, or status (got '" << action
-              << "')\n";
-    return 2;
+    throw UsageError{"router-ctl wants add, remove, or status (got '" + action + "')"};
   }
 
-  auto client = net::Client::connect(opts.host, port, 2.0);
+  auto client = net::Client::connect(o.host, port, 2.0);
   if (!client.send_membership(request)) {
     std::cerr << "failed to send membership request\n";
     return 1;
@@ -802,42 +821,27 @@ int cmd_router_ctl(const std::string& action, const Options& opts) {
                    std::to_string(m.reconnects), m.last_error});
   }
   table.print(std::cout);
-  std::cout << "log:";
-  for (const net::MembershipLogEntry& entry : reply->log) {
-    std::cout << " " << entry.seq << ":"
-              << router::to_string(
-                     static_cast<router::MembershipEvent>(entry.event))
-              << "(" << entry.shard_id << ")";
-  }
-  std::cout << "\nscale: "
-            << router::to_string(
-                   static_cast<router::ScaleAction>(reply->scale_action));
-  if (static_cast<router::ScaleAction>(reply->scale_action) ==
-      router::ScaleAction::kRemove) {
-    std::cout << " " << reply->scale_shard;
-  }
+  const auto scale = static_cast<router::ScaleAction>(reply->scale_action);
+  std::cout << "log:" << membership_log(reply->log)
+            << "\nscale: " << router::to_string(scale);
+  if (scale == router::ScaleAction::kRemove) std::cout << " " << reply->scale_shard;
   std::cout << "\n";
   return reply->ok ? 0 : 1;
 }
 
-int cmd_netload(const Options& opts) {
+int cmd_netload(const Options& o) {
   net::NetLoadParams params;
-  params.host = opts.host;
-  params.port =
-      opts.port_file.empty() ? opts.port : read_port_file(opts.port_file);
-  if (params.port == 0) {
-    std::cerr << "netload needs --port or --port-file\n";
-    return 2;
-  }
-  params.connections = opts.connections;
-  params.closed_loop = opts.closed_loop;
-  params.rate = opts.rate;
-  params.think_time = opts.think_time;
-  params.duration = opts.duration;
-  params.tenants = opts.tenants;
-  params.payload_bytes = opts.payload;
-  params.deadline_us = opts.deadline_us;
-  params.seed = opts.seed;
+  params.host = o.host;
+  params.port = target_port(o, "netload");
+  params.connections = o.connections;
+  params.closed_loop = o.closed_loop;
+  params.rate = o.rate;
+  params.think_time = o.think_time;
+  params.duration = o.duration;
+  params.tenants = o.tenants;
+  params.payload_bytes = o.payload;
+  params.deadline_us = o.deadline_us;
+  params.seed = o.seed;
 
   std::cout << "netload → " << params.host << ":" << params.port << " — "
             << params.connections << " connections, "
@@ -861,14 +865,11 @@ int cmd_netload(const Options& opts) {
                   std::to_string(result.reconnects),
                   std::to_string(result.unanswered)});
   counts.print(std::cout);
+  const double seconds = std::max(result.duration, 1e-9);
   std::cout << "achieved:      "
-            << util::fmt_double(static_cast<double>(result.sent) /
-                                    std::max(result.duration, 1e-9),
-                                0)
+            << util::fmt_double(static_cast<double>(result.sent) / seconds, 0)
             << " req/s offered, "
-            << util::fmt_double(static_cast<double>(result.ok) /
-                                    std::max(result.duration, 1e-9),
-                                0)
+            << util::fmt_double(static_cast<double>(result.ok) / seconds, 0)
             << " req/s served\nlatency (ms):  p50 "
             << util::fmt_double(result.latency.p50 * 1e3, 2) << "  p95 "
             << util::fmt_double(result.latency.p95 * 1e3, 2) << "  p99 "
@@ -884,198 +885,154 @@ int cmd_netload(const Options& opts) {
   return result.answered() > 0 ? 0 : 1;
 }
 
-int cmd_serve(const Options& opts) {
-  if (!opts.listen.empty()) return cmd_serve_net(opts);
-  // The live path: a real PN-STM behind the serving engine, open-loop
-  // traffic whose arrival rate shifts halfway through, and the AutoPN
-  // controller retuning (t, c) on the running system via CUSUM.
-  const int cores = opts.cores_given ? opts.cores : 8;
-  stm::StmConfig stm_cfg;
-  stm_cfg.max_cores = static_cast<std::size_t>(cores);
-  stm_cfg.pool_threads = std::max<std::size_t>(2, opts.workers);
-  stm::Stm stm{stm_cfg};
-  util::WallClock clock;
-  auto workload = serve::make_servable_workload(opts.workload, stm, opts.seed ^ 0x5e);
+/// One subcommand: its positional arguments ("[x]" is optional), the flags
+/// it takes with their defaults (nullptr: none), its handler and summary.
+/// Every subcommand also takes the global --failpoints.
+struct Command {
+  const char* name;
+  std::vector<const char*> args;
+  std::vector<std::pair<const char*, const char*>> flags;
+  int (*run)(const Options&);
+  const char* about;
 
-  serve::ServeConfig serve_cfg;
-  serve_cfg.workers = opts.workers;
-  serve_cfg.queue_capacity = 512;
-  serve_cfg.seed = opts.seed;
-  serve_cfg.request_timeout = opts.request_timeout;
-  serve::ServeEngine engine{stm, workload.handler, clock, serve_cfg};
-
-  const opt::ConfigSpace space{cores};
-
-  // Optional model assists: a warm-start prior for the optimizer and/or a
-  // veto advisor for the controller, both from the compositional model of
-  // the sim preset closest to the served workload.
-  std::optional<model::TunerAdvisor> advisor;
-  std::optional<opt::Prior> prior;
-  if (opts.model_warm || opts.model_veto > 0.0) {
-    model::PipelineParams pipeline;
-    pipeline.workload = sim::workload_by_name(sim_preset_for(opts.workload));
-    pipeline.cores = cores;
-    pipeline.workers = opts.workers;
-    pipeline.queue_capacity = serve_cfg.queue_capacity;
-    model::CompositionalModel m{pipeline};
-    if (opts.model_warm) prior = model::make_prior(m, space);
-    if (opts.model_veto > 0.0) advisor.emplace(std::move(m));
+  [[nodiscard]] bool takes(const std::string& flag) const {
+    return flag == "--failpoints" ||
+           std::any_of(flags.begin(), flags.end(),
+                       [&](const auto& entry) { return flag == entry.first; });
   }
-
-  runtime::ControllerParams params;
-  params.max_window_seconds = 0.5;
-  params.model_veto_band = opts.model_veto;
-  params.model_veto_blocks = opts.model_veto > 0.0;
-  const opt::Prior* prior_ptr = prior.has_value() ? &*prior : nullptr;
-  runtime::TuningController controller{
-      stm, make_optimizer(opts.optimizer, space, opts.seed, prior_ptr),
-      std::make_unique<runtime::FixedTimePolicy>(0.05), clock, params};
-  controller.set_latency_source(&engine.kpi_source());
-  if (advisor.has_value()) controller.set_config_advisor(&*advisor);
-
-  const double shifted_rate = opts.rate * opts.shift;
-  std::cout << "serving " << opts.workload << ": " << opts.workers
-            << " workers, queue " << serve_cfg.queue_capacity << ", open-loop "
-            << util::fmt_double(opts.rate, 0) << " req/s shifting to "
-            << util::fmt_double(shifted_rate, 0) << " req/s at t="
-            << util::fmt_double(opts.duration / 2, 1) << "s; "
-            << opts.optimizer << " tuning live over " << space.size()
-            << " configurations\n";
-
-  const double start = clock.now();
-  std::size_t rounds = 0;
-  std::jthread tuner{[&] {
-    rounds = controller.tune_and_watch(
-        [&] { return make_optimizer(opts.optimizer, space, opts.seed, prior_ptr); },
-        opts.duration);
-  }};
-
-  serve::OpenLoopParams phase;
-  phase.rate = opts.rate;
-  phase.duration = opts.duration / 2;
-  phase.seed = opts.seed ^ 0xaa;
-  const serve::OpenLoopResult p1 = serve::run_open_loop(engine, phase);
-  phase.rate = shifted_rate;
-  phase.seed = opts.seed ^ 0xbb;
-  const serve::OpenLoopResult p2 = serve::run_open_loop(engine, phase);
-  tuner.join();
-  const double elapsed = clock.now() - start;
-  engine.drain_and_stop();
-
-  util::TextTable phases{{"phase", "rate", "offered", "shed", "max depth"}};
-  phases.add_row({"1", util::fmt_double(opts.rate, 0), std::to_string(p1.offered),
-                  util::fmt_percent(p1.shed_fraction()),
-                  std::to_string(p1.max_queue_depth)});
-  phases.add_row({"2", util::fmt_double(shifted_rate, 0), std::to_string(p2.offered),
-                  util::fmt_percent(p2.shed_fraction()),
-                  std::to_string(p2.max_queue_depth)});
-  phases.print(std::cout);
-
-  const serve::ServeReport report = engine.report();
-  std::cout << "tuning rounds: " << rounds
-            << (rounds >= 2 ? " (the rate shift triggered a re-tune)" : "")
-            << "\nchosen (t,c):  (" << stm.top_limit() << "," << stm.child_limit()
-            << ")\nthroughput:    "
-            << util::fmt_double(static_cast<double>(report.completed) / elapsed, 0)
-            << " req/s (" << report.completed << " completed in "
-            << util::fmt_double(elapsed, 2) << "s)\nlatency (ms):  p50 "
-            << util::fmt_double(report.latency.p50 * 1e3, 2) << "  p95 "
-            << util::fmt_double(report.latency.p95 * 1e3, 2) << "  p99 "
-            << util::fmt_double(report.latency.p99 * 1e3, 2)
-            << "\nshed fraction: " << util::fmt_percent(report.shed_fraction)
-            << " (" << report.shed << "/" << report.offered << " offered)\n";
-  print_slo_details(report);
-  if (opts.model_warm || opts.model_veto > 0.0) {
-    std::cout << "model assist:  "
-              << (opts.model_warm ? "warm-start prior" : "")
-              << (opts.model_warm && opts.model_veto > 0.0 ? " + " : "")
-              << (opts.model_veto > 0.0
-                      ? "veto band " + util::fmt_percent(opts.model_veto) +
-                            " (" + std::to_string(controller.vetoes().flagged) +
-                            " flagged, " +
-                            std::to_string(controller.vetoes().blocked) +
-                            " blocked)"
-                      : "")
-              << "\n";
+  [[nodiscard]] std::string synopsis() const {
+    std::string text = std::string{"autopn "} + name;
+    for (const char* arg : args) text += std::string{" "} + arg;
+    return text;
   }
-  if (report.expired > 0 || opts.request_timeout > 0.0) {
-    std::cout << "expired:       " << report.expired << " (deadline "
-              << util::fmt_double(opts.request_timeout * 1e3, 0) << " ms)\n";
+};
+
+const std::vector<Command> kCommands = {
+    {"workloads", {}, {}, cmd_workloads, "list the 10 paper workloads and their optima"},
+    {"surface", {"<workload>"}, {{"--cores", "48"}}, cmd_surface,
+     "print a workload's throughput surface"},
+    {"model",
+     {"<workload>"},
+     {{"--rate", "600"}, {"--workers", "4"}, {"--cores", "48"}, {"--shift", "4"},
+      {"--shed-target", "0.01"}},
+     cmd_model,
+     "capacity what-ifs answered by the compositional model"},
+    {"tune", {"<workload>"}, {{"--optimizer", "autopn"}, {"--seed", "1"}, {"--cores", "48"}},
+     cmd_tune, "run one tuner (autopn|smbo|random|grid|hc|sa|ga) trace-driven"},
+    {"compare", {"<workload>"}, {{"--seed", "1"}, {"--cores", "48"}}, cmd_compare,
+     "run every tuner on one workload"},
+    {"des-tune", {"<workload>"}, {{"--optimizer", "autopn"}, {"--seed", "1"}, {"--cores", "48"}},
+     cmd_des_tune, "run one tuner on the discrete-event simulator"},
+    {"record", {"<workload>", "<file>"}, {{"--cores", "48"}, {"--seed", "1"}}, cmd_record,
+     "record an offline trace to a file"},
+    {"info", {"<file>"}, {}, cmd_info, "summarize a recorded trace"},
+    {"serve",
+     {"[workload]"},
+     {{"--workload", "tpcc"}, {"--rate", "600"}, {"--duration", "4"}, {"--shift", "4"},
+      {"--workers", "4"}, {"--optimizer", "autopn"}, {"--cores", "8"}, {"--seed", "1"},
+      {"--request-timeout", "0"}, {"--model-warm", nullptr}, {"--model-veto", "0"},
+      {"--listen", nullptr}, {"--port-file", nullptr}},
+     cmd_serve,
+     "serve array|array-high|vacation|tpcc, tuning live; --listen: over TCP"},
+    {"netload",
+     {},
+     {{"--host", "127.0.0.1"}, {"--port", nullptr}, {"--port-file", nullptr},
+      {"--connections", "4"}, {"--rate", "600"}, {"--closed-loop", nullptr},
+      {"--think", "0.001"}, {"--duration", "4"}, {"--tenants", "1"}, {"--payload", "0"},
+      {"--deadline-us", "0"}, {"--seed", "1"}},
+     cmd_netload,
+     "offer traffic over TCP to --port or the port in --port-file"},
+    {"router",
+     {},
+     {{"--listen", nullptr}, {"--shard", nullptr}, {"--shard-port-file", nullptr},
+      {"--port-file", nullptr}, {"--duration", "4"}, {"--slo-ms", "50"},
+      {"--rebalance-interval", "1"}, {"--no-rebalance", nullptr},
+      {"--redial-budget", "8"}, {"--scale-file", nullptr}},
+     cmd_router,
+     "route tenants over the --shard/--shard-port-file backends (repeatable)"},
+    {"router-ctl",
+     {"add|remove|status"},
+     {{"--port", nullptr}, {"--port-file", nullptr}, {"--host", "127.0.0.1"},
+      {"--shard-id", nullptr}, {"--shard", nullptr}, {"--shard-port-file", nullptr}},
+     cmd_router_ctl,
+     "admit (add), retire (remove) or list the shards of a router"},
+};
+
+int usage() {
+  std::cerr << "usage: autopn <subcommand> ...   (flag values shown are defaults)\n";
+  for (const Command& c : kCommands) {
+    std::string line = "  " + c.synopsis();
+    for (const auto& [name, value] : c.flags) {
+      const char* shown = value != nullptr ? value : find_flag(name)->metavar;
+      const std::string item = std::string{" ["} + name +
+                               (shown != nullptr ? std::string{" "} + shown : "") + "]";
+      if (line.size() + item.size() > 78) {
+        std::cerr << line << "\n";
+        line = std::string(8, ' ');
+      }
+      line += item;
+    }
+    std::cerr << line << "\n      " << c.about << "\n";
   }
-  if (report.failed > 0) {
-    std::cout << "failed:        " << report.failed << " (handler errors)\n";
-  }
-  if (!workload.verify()) {
-    std::cerr << "consistency check FAILED\n";
-    return 1;
-  }
-  std::cout << "consistency:   OK\n";
-  return 0;
+  std::cerr << "global: --failpoints 'name=kind(args)[;...]'  e.g.\n"
+               "        --failpoints 'stm.commit.validate=error(p=0.1);stm.vbox.prune=delay(d=1ms)'\n"
+               "        (before or after the subcommand; also read from the\n"
+               "        AUTOPN_FAILPOINTS environment variable; no-op unless the\n"
+               "        build compiles failpoints in)\n";
+  return 2;
 }
 
-int cmd_info(const std::string& file) {
-  std::ifstream in{file};
-  if (!in) {
-    std::cerr << "cannot open " << file << "\n";
-    return 1;
+/// The subcommand named on the command line (nullptr: none, or unknown) and
+/// its Options: the row's defaults, then what the command line gives.
+std::pair<const Command*, Options> parse(const std::vector<std::string>& argv) {
+  const Command* command = nullptr;
+  Options o{};
+  for (std::size_t i = 0; i < argv.size(); ++i) {
+    const std::string& word = argv[i];
+    if (word.rfind("--", 0) != 0) {
+      if (command != nullptr) {
+        o.args.push_back(word);
+        continue;
+      }
+      for (const Command& c : kCommands) {
+        if (word == c.name) command = &c;
+      }
+      if (command == nullptr) return {nullptr, o};
+      for (const auto& [name, value] : command->flags) {
+        if (value != nullptr) find_flag(name)->set(o, value, name);
+      }
+      continue;
+    }
+    const Flag* flag = find_flag(word);
+    if (command == nullptr && word != "--failpoints") return {nullptr, o};
+    if (flag == nullptr || (command != nullptr && !command->takes(word))) {
+      throw UsageError{std::string{command->name} + " does not take " + word};
+    }
+    std::string value;
+    if (flag->metavar != nullptr) {
+      if (++i == argv.size()) throw UsageError{word + " needs a value"};
+      value = argv[i];
+    }
+    flag->set(o, value, word);
+    o.given.insert(word);
   }
-  const auto trace = sim::SurfaceTrace::load(in);
-  const auto optimum = trace.optimum();
-  std::cout << "workload: " << trace.workload() << "\ncores: " << trace.cores()
-            << "\nconfigurations: " << trace.size()
-            << "\noptimum: " << optimum.config.to_string() << " @ "
-            << util::fmt_double(optimum.throughput, 1) << "\n";
-  return 0;
+  if (command != nullptr) {
+    const auto required = static_cast<std::size_t>(
+        std::count_if(command->args.begin(), command->args.end(),
+                      [](const char* arg) { return arg[0] != '['; }));
+    if (o.args.size() < required || o.args.size() > command->args.size()) {
+      throw UsageError{"usage: " + command->synopsis() + " [flags]"};
+    }
+  }
+  return {command, o};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
   try {
-    // The global --failpoints flag may precede the subcommand (it also works
-    // anywhere after it, handled in parse_options).
-    while (args.size() >= 2 && args[0] == "--failpoints") {
-      util::FailpointRegistry::instance().arm_from_string(args[1]);
-      args.erase(args.begin(), args.begin() + 2);
-    }
-    if (args.empty()) return usage();
-    const std::string& cmd = args[0];
-    if (cmd == "workloads") return cmd_workloads();
-    if (cmd == "surface" && args.size() >= 2) {
-      return cmd_surface(args[1], parse_options(args, 2));
-    }
-    if (cmd == "model" && args.size() >= 2) {
-      return cmd_model(args[1], parse_options(args, 2));
-    }
-    if (cmd == "tune" && args.size() >= 2) {
-      return cmd_tune(args[1], parse_options(args, 2));
-    }
-    if (cmd == "compare" && args.size() >= 2) {
-      return cmd_compare(args[1], parse_options(args, 2));
-    }
-    if (cmd == "des-tune" && args.size() >= 2) {
-      return cmd_des_tune(args[1], parse_options(args, 2));
-    }
-    if (cmd == "record" && args.size() >= 3) {
-      return cmd_record(args[1], args[2], parse_options(args, 3));
-    }
-    if (cmd == "info" && args.size() >= 2) return cmd_info(args[1]);
-    if (cmd == "netload") return cmd_netload(parse_options(args, 1));
-    if (cmd == "router") return cmd_router(parse_options(args, 1));
-    if (cmd == "router-ctl" && args.size() >= 2) {
-      return cmd_router_ctl(args[1], parse_options(args, 2));
-    }
-    if (cmd == "serve") {
-      // Accept both `serve tpcc` and `serve --workload tpcc`.
-      if (args.size() >= 2 && args[1][0] != '-') {
-        Options opts = parse_options(args, 2);
-        opts.workload = args[1];
-        return cmd_serve(opts);
-      }
-      return cmd_serve(parse_options(args, 1));
-    }
-    return usage();
+    const auto [command, opts] = parse({argv + 1, argv + argc});
+    return command == nullptr ? usage() : command->run(opts);
   } catch (const UsageError& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 2;
